@@ -228,15 +228,20 @@ class Session:
         return loader
 
     def model(self, name: str = "sign", **model_kwargs) -> PPGNNModel:
-        """Build a PP-GNN model shaped for this session's dataset and store."""
+        """Build a PP-GNN model shaped for this session's dataset and store.
+
+        Its parameters are in the store's dtype, so training and serving
+        compute in the precision the store was written in.
+        """
         model_kwargs.setdefault("seed", self.seed)
-        return build_pp_model(
+        model = build_pp_model(
             name,
             in_features=self.dataset.num_features,
             num_classes=self.dataset.num_classes,
             num_hops=self.store.num_hops,
             **model_kwargs,
         )
+        return model.to(self.store.dtype)
 
     def trainer(
         self,

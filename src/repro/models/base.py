@@ -12,7 +12,7 @@ Two model families with different batch formats:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,17 +37,27 @@ class PPGNNModel(Module):
         """Number of hop matrices this model expects per batch."""
         return self.num_kernels * (self.num_hops + 1)
 
-    def check_inputs(self, hop_feats: Sequence[np.ndarray | Tensor]) -> List[Tensor]:
-        """Validate and convert the per-hop inputs to tensors."""
+    def check_inputs(
+        self, hop_feats: Sequence[np.ndarray | Tensor], use: Optional[Sequence[int]] = None
+    ) -> List[Tensor]:
+        """Validate the per-hop inputs and wrap them as tensors without copying.
+
+        Count and batch size are checked on the raw arrays; ``use`` names the
+        positions ``forward`` reads (default: all), and only those are wrapped.
+        A wrapped loader buffer is read in place, in its own dtype: it must
+        stay untouched until this batch's backward pass has run, which the
+        loaders' buffer rings guarantee (the batch the consumer holds is never
+        reassembled; ``depth + 2`` buffers under prefetching).
+        """
         if len(hop_feats) != self.num_inputs:
             raise ValueError(
                 f"{type(self).__name__} expects {self.num_inputs} hop matrices, got {len(hop_feats)}"
             )
-        tensors = [x if isinstance(x, Tensor) else Tensor(np.asarray(x)) for x in hop_feats]
-        batch_sizes = {t.shape[0] for t in tensors}
+        batch_sizes = {np.shape(x)[0] for x in hop_feats}
         if len(batch_sizes) != 1:
             raise ValueError(f"hop matrices disagree on batch size: {sorted(batch_sizes)}")
-        return tensors
+        used = hop_feats if use is None else [hop_feats[i] for i in use]
+        return [x if isinstance(x, Tensor) else Tensor(x) for x in used]
 
     def forward(self, hop_feats: Sequence[np.ndarray | Tensor]) -> Tensor:  # pragma: no cover
         raise NotImplementedError

@@ -69,7 +69,6 @@ class HOGA(PPGNNModel):
 
     def forward(self, hop_feats: Sequence[np.ndarray | Tensor]) -> Tensor:
         tensors = self.check_inputs(hop_feats)
-        batch = tensors[0].shape[0]
         # (B, T, F) token stack: one token per hop (and per kernel).
         tokens = Tensor.stack(tensors, axis=1)
         tokens = self.input_proj(tokens)

@@ -41,8 +41,7 @@ class SGC(PPGNNModel):
         self.linear = Linear(in_features, num_classes, seed=seed)
 
     def forward(self, hop_feats: Sequence[np.ndarray | Tensor]) -> Tensor:
-        tensors = self.check_inputs(hop_feats)
-        x = tensors[-1]  # only the deepest hop is used
+        (x,) = self.check_inputs(hop_feats, use=(-1,))  # only the deepest hop is used
         if self.dropout is not None:
             x = self.dropout(x)
         return self.linear(x)

@@ -36,7 +36,10 @@ class PropagationConfig:
         Extra keyword arguments forwarded to each operator builder.
     dtype:
         Storage dtype of the propagated features (float32 matches the paper's
-        byte accounting).
+        byte accounting).  It is also the *training* precision: the trainers
+        cast the model to the dtype of the features they read and the autograd
+        engine computes in it, so ``dtype="float64"`` is how to train in
+        double precision.
     accumulate_dtype:
         Dtype the SpMM chain runs in (operator data and the hop-``r`` input to
         hop ``r + 1``).  The float64 default maximizes numerical headroom but

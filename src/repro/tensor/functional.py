@@ -40,28 +40,86 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.log_softmax(axis=axis)
 
 
+#: resolution of the dropout keep mask: one 16-bit draw per element
+_DROPOUT_LEVELS = 1 << 16
+
+
 def dropout(
     x: Tensor,
     p: float,
     training: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time."""
+    """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time.
+
+    One graph node: an element is kept when its 16-bit draw reaches
+    ``round(p * 65536)`` (so the keep rate is within 1/65536 of ``1 - p``);
+    the scale and the mask are applied in place to one fresh output array,
+    and the backward closure reuses the boolean mask.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    # four 16-bit draws per 64-bit word: about twice as fast as uint16 integers()
+    words = rng.integers(0, 1 << 64, size=-(-x.size // 4), dtype=np.uint64)
+    draws = words.view(np.uint16)[: x.size].reshape(x.shape)
+    keep = draws >= round(p * _DROPOUT_LEVELS)
+    scale = 1.0 / (1.0 - p)
+    out_data = x.data * scale
+    out_data *= keep
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            g = grad * keep
+            g *= scale
+            x._accumulate(g, owned=True)
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (same convention as torch.nn.Linear)."""
-    out = x.matmul(weight.transpose())
+    """Affine map ``x @ weight.T + bias`` (same convention as torch.nn.Linear).
+
+    One graph node; ``x`` may carry leading batch axes, which the parameter
+    gradients sum over.
+    """
+    out_data = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
-    return out
+        out_data += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data, owned=True)
+        rows = grad.reshape(-1, grad.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(rows.T @ x.data.reshape(-1, x.shape[-1]), owned=True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0), owned=True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out_data, parents, backward)
+
+
+def prelu(x: Tensor, slope: Tensor) -> Tensor:
+    """Parametric ReLU ``max(x, 0) + slope * min(x, 0)`` as one graph node."""
+    negative = np.minimum(x.data, 0)
+    out_data = np.maximum(x.data, 0)
+    out_data += slope.data * negative
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            # grad where x > 0, slope * grad elsewhere (np.where is ~5x slower)
+            g = grad * (x.data > 0)
+            rest = grad - g
+            rest *= slope.data
+            g += rest
+            x._accumulate(g, owned=True)
+        if slope.requires_grad:
+            slope._accumulate(grad * negative, owned=True)
+
+    return Tensor._make(out_data, (x, slope), backward)
 
 
 def layer_norm(
@@ -94,14 +152,14 @@ def embedding_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return table.take_rows(indices)
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer ``labels`` as a float array."""
+def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
+    """One-hot encode integer ``labels`` as a float array of ``dtype``."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels out of range for the given num_classes")
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
+    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 

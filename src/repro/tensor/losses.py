@@ -40,10 +40,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Numerically stable BCE on logits (for binary datasets such as pokec)."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
+    targets_t = Tensor(np.asarray(targets, dtype=logits.dtype))
     # log(1 + exp(-|x|)) + max(x, 0) - x * t
     neg_abs = logits.abs() * -1.0
-    loss = (Tensor(np.ones(logits.shape)) + neg_abs.exp()).log() + logits.relu() - logits * targets_t
+    loss = (1.0 + neg_abs.exp()).log() + logits.relu() - logits * targets_t
     if reduction == "mean":
         return loss.mean()
     if reduction == "sum":
@@ -55,7 +55,7 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, reduct
 
 def mse_loss(pred: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
     """Mean squared error (used in a few regression-style tests)."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
+    diff = pred - Tensor(np.asarray(target, dtype=pred.dtype))
     sq = diff * diff
     if reduction == "mean":
         return sq.mean()

@@ -67,6 +67,18 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    # -- precision -------------------------------------------------------- #
+    def to(self, dtype) -> "Module":
+        """Cast every parameter to the floating ``dtype`` in place.
+
+        The engine computes in the dtype of its operands, so this selects the
+        training precision; call it before building an optimizer so that the
+        optimizer's moments are allocated in the same dtype.
+        """
+        for p in self.parameters():
+            p.to(dtype)
+        return self
+
     # -- state dict ------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -78,10 +90,10 @@ class Module:
         if missing or unexpected:
             raise KeyError(f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.array(state[name], dtype=param.data.dtype)  # a copy, in the parameter's dtype
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+            param.data = value
 
     # -- call ------------------------------------------------------------ #
     def forward(self, *args, **kwargs) -> Tensor:  # pragma: no cover - abstract
@@ -154,9 +166,7 @@ class PReLU(Module):
         self.slope = Parameter(np.array([init_slope]), name="prelu_slope")
 
     def forward(self, x: Tensor) -> Tensor:
-        positive = x.relu()
-        negative = (x * -1.0).relu() * -1.0
-        return positive + self.slope * negative
+        return F.prelu(x, self.slope)
 
 
 class LayerNorm(Module):

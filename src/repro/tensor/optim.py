@@ -101,13 +101,21 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = self._apply_decay(p, p.grad)
+            # two temporaries per parameter, every other op in place
+            step = grad * (1 - self.beta1)
             m *= self.beta1
-            m += (1 - self.beta1) * grad
+            m += step
+            denom = np.square(grad)
+            denom *= 1 - self.beta2
             v *= self.beta2
-            v += (1 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += denom
+            np.divide(m, bias1, out=step)  # m_hat
+            step *= self.lr
+            np.divide(v, bias2, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
 
 class AdamW(Adam):

@@ -23,16 +23,19 @@ from repro.tensor.tensor import Tensor
 def sparse_matmul(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Compute ``matrix @ dense`` where ``matrix`` is a constant sparse matrix.
 
-    Backward: ``grad_dense = matrix.T @ grad_out``.
+    Backward: ``grad_dense = matrix.T @ grad_out``.  The product runs in
+    ``dense``'s floating dtype: the operator's values are cast to it.
     """
     if matrix.shape[1] != dense.shape[0]:
         raise ValueError(f"dimension mismatch: {matrix.shape} @ {dense.shape}")
     csr = matrix.tocsr()
+    if dense.dtype.kind == "f" and csr.dtype != dense.dtype:
+        csr = csr.astype(dense.dtype)
     out_data = csr @ dense.data
 
     def backward(grad: np.ndarray) -> None:
         if dense.requires_grad:
-            dense._accumulate(csr.T @ grad)
+            dense._accumulate(csr.T @ grad, owned=True)
 
     return Tensor._make(np.asarray(out_data), (dense,), backward)
 
@@ -50,12 +53,12 @@ def scatter_sum(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     if index.size and (index.min() < 0 or index.max() >= num_segments):
         raise ValueError("index out of range")
     out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=np.float64)
+    out_data = np.zeros(out_shape, dtype=values.dtype)
     np.add.at(out_data, index, values.data)
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
-            values._accumulate(grad[index])
+            values._accumulate(grad[index], owned=True)
 
     return Tensor._make(out_data, (values,), backward)
 
@@ -63,7 +66,7 @@ def scatter_sum(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
 def scatter_mean(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     """Mean-pool rows of ``values`` into segments (empty segments stay zero)."""
     index = np.asarray(index, dtype=np.int64)
-    counts = np.bincount(index, minlength=num_segments).astype(np.float64)
+    counts = np.bincount(index, minlength=num_segments).astype(values.dtype)
     counts = np.maximum(counts, 1.0)
     summed = scatter_sum(values, index, num_segments)
     inv = (1.0 / counts).reshape((num_segments,) + (1,) * (values.ndim - 1))
@@ -73,7 +76,7 @@ def scatter_mean(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor
 def segment_max(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
     """Per-segment maximum of a plain array (non-differentiable helper)."""
     index = np.asarray(index, dtype=np.int64)
-    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=np.float64)
+    out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=values.dtype)
     np.maximum.at(out, index, values)
     out[~np.isfinite(out)] = 0.0
     return out
@@ -99,7 +102,9 @@ def segment_softmax(scores: Tensor, index: np.ndarray, num_segments: int) -> Ten
 
 def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Row-normalize a sparse matrix so each non-empty row sums to one."""
-    csr = matrix.tocsr().astype(np.float64)
+    csr = matrix.tocsr()
+    if csr.dtype.kind != "f":
+        csr = csr.astype(float)
     row_sums = np.asarray(csr.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv = 1.0 / row_sums

@@ -10,10 +10,15 @@ Design notes
   evaluation loops so inference allocates no graph.
 * Only float arrays participate in differentiation; integer tensors (labels,
   index arrays) are carried as plain NumPy arrays by callers.
+* The engine computes in the dtype of the data it is given: a floating array
+  keeps its dtype (float32 graphs stay float32, float64 stay float64), Python
+  scalars adopt the other operand's dtype, and a gradient always has the dtype
+  of the tensor it belongs to.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -70,9 +75,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if requires_grad and not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        if np.issubdtype(arr.dtype, np.floating) and arr.dtype != np.float64:
+        if requires_grad and arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
@@ -144,10 +147,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad`` (in this tensor's dtype).
+
+        ``owned=True`` says the caller computed ``grad`` for this call and
+        keeps no other reference, so the first accumulation adopts the array
+        instead of copying it; an array that is shared (the incoming gradient
+        passed on as is, or a view of it) must leave it ``False``.
+        """
+        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
             self.grad += grad
 
@@ -162,7 +172,6 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
 
         # Topological order over the graph reachable from ``self``.
         topo: list[Tensor] = []
@@ -190,9 +199,17 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _coerce(other: ArrayLike) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other: ArrayLike) -> "Tensor":
+        """Wrap a non-tensor operand; a Python scalar adopts this tensor's float dtype.
+
+        That keeps ``x * 0.5`` in ``x``'s precision under NumPy-2 promotion,
+        where a float64 0-d array (or ``np.float64`` scalar) is not weak.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)) and self.data.dtype.kind == "f":
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
@@ -211,7 +228,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -227,9 +244,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * other.data)
+                self._accumulate(grad * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(grad * self.data)
+                other._accumulate(grad * self.data, owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -241,9 +258,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / other.data)
+                self._accumulate(grad / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data**2))
+                other._accumulate(-grad * self.data / (other.data**2), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -253,11 +270,13 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
+        if isinstance(exponent, np.generic):
+            exponent = exponent.item()  # a NumPy scalar would promote float32 data
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -276,13 +295,13 @@ class Tensor:
                     ga = grad @ np.swapaxes(b.data, -1, -2)
                 else:
                     ga = np.outer(grad, b.data)
-                a._accumulate(ga)
+                a._accumulate(ga, owned=True)
             if b.requires_grad:
                 if a.data.ndim >= 2:
                     gb = np.swapaxes(a.data, -1, -2) @ grad
                 else:
                     gb = np.outer(a.data, grad)
-                b._accumulate(gb)
+                b._accumulate(gb, owned=True)
 
         return Tensor._make(out_data, (a, b), backward)
 
@@ -294,7 +313,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data)
+                self._accumulate(grad * out_data, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -303,7 +322,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -315,7 +334,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
+                self._accumulate(grad * (1.0 - out_data**2), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -324,17 +343,16 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
+                self._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
+        out_data = np.maximum(self.data, 0)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * (out_data > 0), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -344,14 +362,14 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.where(mask, 1.0, negative_slope))
+                self._accumulate(np.where(mask, grad, negative_slope * grad), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation (matches common DL frameworks)."""
         x = self.data
-        c = np.sqrt(2.0 / np.pi)
+        c = math.sqrt(2.0 / math.pi)
         inner = c * (x + 0.044715 * x**3)
         t = np.tanh(inner)
         out_data = 0.5 * x * (1.0 + t)
@@ -361,7 +379,7 @@ class Tensor:
                 dinner = c * (1.0 + 3 * 0.044715 * x**2)
                 dt = (1.0 - t**2) * dinner
                 local = 0.5 * (1.0 + t) + 0.5 * x * dt
-                self._accumulate(grad * local)
+                self._accumulate(grad * local, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -370,7 +388,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.sign(self.data))
+                self._accumulate(grad * np.sign(self.data), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -380,7 +398,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -426,14 +444,15 @@ class Tensor:
                 return
             if axis is None:
                 mask = self.data == out_data
-                g = grad * mask / mask.sum()
+                g = grad * mask / float(mask.sum())
             else:
                 expanded = out_data if keepdims else np.expand_dims(out_data, axis)
                 mask = self.data == expanded
                 gexp = grad if keepdims else np.expand_dims(grad, axis)
                 # distribute ties evenly so gradients stay well-defined
-                g = gexp * mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1)
-            self._accumulate(g)
+                ties = mask.sum(axis=axis, keepdims=True, dtype=self.data.dtype)
+                g = gexp * mask / np.maximum(ties, 1)
+            self._accumulate(g, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -477,7 +496,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -490,7 +509,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, indices, grad)
-                self._accumulate(full)
+                self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -512,7 +531,7 @@ class Tensor:
 
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = -1) -> "Tensor":
-        tensors = [Tensor._coerce(t) for t in tensors]
+        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
         out_data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
@@ -528,7 +547,7 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._coerce(t) for t in tensors]
+        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
         out_data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(grad: np.ndarray) -> None:
@@ -550,7 +569,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 dot = (grad * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (grad - dot))
+                self._accumulate(out_data * (grad - dot), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -562,6 +581,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+                self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), owned=True)
 
         return Tensor._make(out_data, (self,), backward)

@@ -35,7 +35,13 @@ logger = get_logger("training.loop")
 
 @dataclass
 class TrainerConfig:
-    """Hyperparameters shared by both trainer families."""
+    """Hyperparameters shared by both trainer families.
+
+    There is no precision knob: a trainer casts its model once to the dtype of
+    the features it trains on (the store's ``PropagationConfig.dtype`` for
+    PP-GNNs, the dataset's raw features for MP-GNNs) and the autograd engine
+    computes in that dtype.
+    """
 
     num_epochs: int = 50
     batch_size: int = 512
@@ -93,7 +99,9 @@ class PPGNNTrainer:
         dataset: NodeClassificationDataset,
         config: TrainerConfig,
     ) -> None:
-        self.model = model
+        # train in the precision the store was written in (before the
+        # optimizer allocates its moments)
+        self.model = model.to(loader.store.dtype)
         self.loader = loader
         self.dataset = dataset
         self.config = config
@@ -287,7 +295,9 @@ class MPGNNTrainer:
         config: TrainerConfig,
         eval_sampler: Optional[Sampler] = None,
     ) -> None:
-        self.model = model
+        # same precision rule as PPGNNTrainer, so PP-vs-sampling comparisons
+        # (Figures 4 and 7) stay like-for-like
+        self.model = model.to(dataset.features.dtype)
         self.sampler = sampler
         self.eval_sampler = eval_sampler or sampler
         self.dataset = dataset
@@ -337,7 +347,8 @@ class MPGNNTrainer:
                 loss = cross_entropy(logits, labels)
                 if batch.node_weight is not None:
                     # GraphSAINT-style loss reweighting by inclusion probability.
-                    weighted = cross_entropy(logits, labels, reduction="none") * Tensor(batch.node_weight)
+                    weights = np.asarray(batch.node_weight, dtype=logits.dtype)
+                    weighted = cross_entropy(logits, labels, reduction="none") * Tensor(weights)
                     loss = weighted.mean()
             with self.timing.measure("backward"):
                 self.optimizer.zero_grad()
