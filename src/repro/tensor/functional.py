@@ -40,10 +40,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.log_softmax(axis=axis)
 
 
-#: resolution of the dropout keep mask: one 16-bit draw per element
-_DROPOUT_LEVELS = 1 << 16
-
-
 def dropout(
     x: Tensor,
     p: float,
@@ -52,20 +48,17 @@ def dropout(
 ) -> Tensor:
     """Inverted dropout: scales kept activations by ``1/(1-p)`` at train time.
 
-    One graph node: an element is kept when its 16-bit draw reaches
-    ``round(p * 65536)`` (so the keep rate is within 1/65536 of ``1 - p``);
-    the scale and the mask are applied in place to one fresh output array,
-    and the backward closure reuses the boolean mask.
+    One graph node: the scale and the keep mask are applied in place to one
+    fresh output array and the backward closure reuses the boolean mask.  The
+    mask is ``rng.random(shape) >= p`` whatever the dtype of ``x``, so a seed
+    draws the same masks in float32 and float64.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     rng = rng or np.random.default_rng()
-    # four 16-bit draws per 64-bit word: about twice as fast as uint16 integers()
-    words = rng.integers(0, 1 << 64, size=-(-x.size // 4), dtype=np.uint64)
-    draws = words.view(np.uint16)[: x.size].reshape(x.shape)
-    keep = draws >= round(p * _DROPOUT_LEVELS)
+    keep = rng.random(x.shape) >= p
     scale = 1.0 / (1.0 - p)
     out_data = x.data * scale
     out_data *= keep
@@ -152,14 +145,14 @@ def embedding_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return table.take_rows(indices)
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """One-hot encode integer ``labels`` as a float array of ``dtype``."""
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """One-hot encode integer ``labels`` as a float array."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("labels must be 1-D")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels out of range for the given num_classes")
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
+    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 

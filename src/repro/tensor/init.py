@@ -42,8 +42,8 @@ def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.normal(0.0, std, size=shape)
 
 
-def zeros(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
+def zeros(shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape, dtype=np.float64)
 
 
 def uniform_bias(fan_in: int, size: int, rng: np.random.Generator) -> np.ndarray:
