@@ -65,23 +65,25 @@ IDENTITY_PER_THREAD = 100
 
 QPS_TARGET = 2000.0
 # p99 in this closed-loop setup is dominated by self-inflicted queueing
-# (MAX_OUTSTANDING requests race into micro-batches), measured ~33-41 ms on
+# (MAX_OUTSTANDING requests race into each batch), measured ~33-41 ms on
 # an idle container; the limit leaves headroom for noisy CI neighbours.
 P99_LIMIT_MS = 100.0
 CACHE_SPEEDUP_TARGET = 1.2
 
 # overload row: a paced 4-thread open-loop client offering ~2x what the
-# admission queue drains.  With max_pending < micro_batch_size the dispatcher
-# always waits out the full window, so drain capacity is exactly
-# max_pending/window distinct ids per second — offered load is set to twice
-# that, making sustained shedding (and bounded accepted latency) the gate.
+# admission queue drains.  The dispatcher claims the whole queue whenever it is
+# free, so the row throttles the store gather instead: a repeating injected
+# stall makes every dispatch last OVERLOAD_STALL_SECONDS, during which at most
+# max_pending distinct ids queue up — drain capacity is max_pending/stall ids
+# per second, and offered load is set to twice that, making sustained shedding
+# (and bounded accepted latency) the gate.
 OVERLOAD_THREADS = 4
 OVERLOAD_PER_THREAD = 3000
 OVERLOAD_MAX_PENDING = 64
-OVERLOAD_WINDOW_SECONDS = 0.005
+OVERLOAD_STALL_SECONDS = 0.005
 OVERLOAD_FACTOR = 2.0  # offered / sustainable
-# accepted p99 under overload adds queue wait (the 5 ms dispatch window) and
-# one watchdog recovery (~tens of ms) on top of the gather itself
+# accepted p99 under overload adds queue wait (one 5 ms dispatch ahead, then
+# its own) and one watchdog recovery (~tens of ms) on top of the gather itself
 OVERLOAD_P99_LIMIT_MS = 150.0
 OVERLOAD_IDENTITY_SAMPLE = 500
 
@@ -186,9 +188,6 @@ def _measure_overload(store) -> dict:
     config = ServingConfig(
         cache_policy="lru",
         cache_capacity=CACHE_CAPACITY,
-        # batch never fills before the window: drain rate = max_pending/window
-        micro_batch_size=4 * OVERLOAD_MAX_PENDING,
-        window_seconds=OVERLOAD_WINDOW_SECONDS,
         max_pending=OVERLOAD_MAX_PENDING,
         shed_policy="reject",
         gather_retries=2,
@@ -206,6 +205,14 @@ def _measure_overload(store) -> dict:
         specs=[
             FaultSpec(site="serve.gather", kind="error", at_hit=50),  # transient, retried
             FaultSpec(site="serve.dispatch", kind="error", at_hit=20),  # dispatcher kill
+            # the throttle: every other gather stalls (a plan fires its first matching
+            # spec, so this one comes after the transient error)
+            FaultSpec(
+                site="serve.gather",
+                kind="stall",
+                stall_seconds=OVERLOAD_STALL_SECONDS,
+                repeat=10 * OVERLOAD_THREADS * OVERLOAD_PER_THREAD,
+            ),
         ]
     )
     offered = OVERLOAD_THREADS * OVERLOAD_PER_THREAD
@@ -213,7 +220,7 @@ def _measure_overload(store) -> dict:
     shed_counts = [0] * OVERLOAD_THREADS
     lock = threading.Lock()
 
-    sustainable_qps = OVERLOAD_MAX_PENDING / OVERLOAD_WINDOW_SECONDS
+    sustainable_qps = OVERLOAD_MAX_PENDING / OVERLOAD_STALL_SECONDS
     interval = OVERLOAD_THREADS / (OVERLOAD_FACTOR * sustainable_qps)
 
     def flood(tid: int, engine: ServingEngine) -> None:
@@ -330,12 +337,7 @@ def _run_suite() -> dict:
         ).run(dataset)
         store = prepared.store
 
-        config = ServingConfig(
-            cache_policy="lru",
-            cache_capacity=CACHE_CAPACITY,
-            micro_batch_size=256,
-            window_seconds=0.002,
-        )
+        config = ServingConfig(cache_policy="lru", cache_capacity=CACHE_CAPACITY)
         results = {}
         with ServingEngine(store, config) as engine:
             results["bit_identical_to_direct"] = _assert_bit_identical(engine, store)

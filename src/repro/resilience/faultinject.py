@@ -77,8 +77,8 @@ KNOWN_SITES = (
     "blocked.scratch.write",     # before a scratch/store block write
     "shm.unlink",                # before unlinking a shared-memory segment
     "serve.gather",              # serving engine, before a cache-miss store gather
-    "serve.cache",               # serving engine, per-row cache lookup ("leak" = bypass)
-    "serve.dispatch",            # dispatcher loop, after claiming a micro-batch
+    "serve.cache",               # serving engine, per-batch cache lookup ("leak" = bypass)
+    "serve.dispatch",            # dispatcher loop, after claiming a batch
     "serve.drain",               # dispatcher loop, on a batch claimed during close(drain=True)
     "update.apply",              # incremental update, before a store clone / patch write
     "update.swap",               # incremental update, before publishing / engine swap

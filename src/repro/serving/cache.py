@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -62,9 +62,14 @@ class CacheStats:
 class HopCache:
     """Fixed-capacity cache of per-node ``(num_matrices, feature_dim)`` blocks.
 
-    Entries live in one preallocated ``(capacity, M, F)`` slab so the cache
-    never allocates on the hot path; ``get`` returns a read view into the
-    slab that is valid until the entry is evicted.
+    Entries live in one preallocated ``(M, capacity, F)`` slab — the packed
+    store's own layout, so a batch of hits is one ``np.take`` along the slot
+    axis — and the cache never allocates on the hot path; ``get`` returns a
+    read view into the slab that is valid until the entry is evicted.
+
+    :meth:`get_many` / :meth:`put_many` are the engine's path; they leave the
+    cache in exactly the state the same rows passed one by one to
+    :meth:`get` / :meth:`put` would (same hits, same victims, same counters).
     """
 
     def __init__(
@@ -80,13 +85,13 @@ class HopCache:
         if policy not in CACHE_POLICIES:
             raise ValueError(f"unknown cache policy {policy!r}; expected one of {CACHE_POLICIES}")
         self.policy = policy
-        self._slab = np.empty((capacity, num_matrices, feature_dim), dtype=np.dtype(dtype))
-        self._slot_of: dict[int, int] = {}
-        self._node_of = np.full(capacity, -1, dtype=np.int64)
+        self._lru = policy == "lru"
+        self._slab = np.empty((num_matrices, capacity, feature_dim), dtype=np.dtype(dtype))
+        # row -> slot; under lru also the recency order, oldest first
+        self._slot_of: "OrderedDict[int, int]" = OrderedDict()
+        self._node_of = [-1] * capacity
         self._free = list(range(capacity - 1, -1, -1))  # pop() hands out slot 0 first
         self.stats = CacheStats()
-        # lru bookkeeping: insertion/recency order, oldest first
-        self._order: "OrderedDict[int, None]" = OrderedDict()
         # clock bookkeeping: one second-chance bit per slot plus the hand
         self._referenced = np.zeros(capacity, dtype=bool)
         self._hand = 0
@@ -94,7 +99,7 @@ class HopCache:
     # ------------------------------------------------------------------ #
     @property
     def capacity(self) -> int:
-        return int(self._slab.shape[0])
+        return int(self._slab.shape[1])
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -104,7 +109,7 @@ class HopCache:
 
     def entry_nbytes(self) -> int:
         """Bytes of one cached block (the unit cache budgets divide by)."""
-        return int(self._slab[0].nbytes)
+        return int(self._slab[:, 0, :].nbytes)
 
     # ------------------------------------------------------------------ #
     def get(self, row: int) -> Optional[np.ndarray]:
@@ -112,39 +117,80 @@ class HopCache:
 
         A hit refreshes the entry's recency (LRU order / clock reference bit).
         """
-        slot = self._slot_of.get(int(row))
+        row = int(row)
+        slot = self._slot_of.get(row)
         if slot is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if self.policy == "lru":
-            self._order.move_to_end(int(row))
+        if self._lru:
+            self._slot_of.move_to_end(row)
         else:
             self._referenced[slot] = True
-        return self._slab[slot]
+        return self._slab[:, slot, :]
+
+    def get_many(self, rows: Sequence[int], out: np.ndarray) -> List[int]:
+        """Copy the cached blocks of ``rows`` into ``out``; return the misses.
+
+        ``rows`` are Python ints and ``out`` is ``(M, len(rows), F)``: a hit at
+        position ``i`` fills ``out[:, i, :]``; the returned list holds the
+        positions that missed, ascending.  Equivalent to ``get`` per row.
+        """
+        slot_of = self._slot_of
+        slots = [slot_of.get(row, -1) for row in rows]
+        misses = [i for i, slot in enumerate(slots) if slot < 0]
+        self.stats.misses += len(misses)
+        if len(misses) == len(slots):
+            return misses
+        self.stats.hits += len(slots) - len(misses)
+        if misses:
+            hits = [i for i, slot in enumerate(slots) if slot >= 0]
+            slots = [slots[i] for i in hits]
+            out[:, hits, :] = np.take(self._slab, slots, axis=1)
+            rows = [rows[i] for i in hits]
+        else:
+            np.take(self._slab, slots, axis=1, out=out, mode="clip")
+        if self._lru:
+            for row in rows:
+                slot_of.move_to_end(row)
+        else:
+            self._referenced[slots] = True
+        return misses
 
     def put(self, row: int, block: np.ndarray) -> None:
         """Insert (or refresh) the block for ``row``, evicting if full."""
-        row = int(row)
+        self._slab[:, self._claim(int(row)), :] = block
+
+    def put_many(self, rows: Sequence[int], blocks: np.ndarray) -> None:
+        """Insert (or refresh) ``blocks[:, i, :]`` for each of ``rows``.
+
+        ``rows`` are distinct Python ints.  Equivalent to ``put`` per row: a
+        batch longer than ``capacity`` evicts its own head, so it is written
+        in runs of at most ``capacity`` rows, within which no slot repeats.
+        """
+        capacity = self.capacity
+        for start in range(0, len(rows), capacity):
+            slots = [self._claim(row) for row in rows[start : start + capacity]]
+            self._slab[:, slots, :] = blocks[:, start : start + len(slots), :]
+
+    def _claim(self, row: int) -> int:
+        """The slot ``row`` is to be written to, marked most recently used."""
         slot = self._slot_of.get(row)
         if slot is None:
             slot = self._free.pop() if self._free else self._evict()
             self._slot_of[row] = slot
             self._node_of[slot] = row
-            if self.policy == "lru":
-                self._order[row] = None
             self.stats.insertions += 1
-        elif self.policy == "lru":
-            self._order.move_to_end(row)
-        self._slab[slot] = block
-        if self.policy == "clock":
+        elif self._lru:
+            self._slot_of.move_to_end(row)
+        if not self._lru:
             self._referenced[slot] = True
+        return slot
 
     def _evict(self) -> int:
         self.stats.evictions += 1
-        if self.policy == "lru":
-            victim_row, _ = self._order.popitem(last=False)
-            slot = self._slot_of.pop(victim_row)
+        if self._lru:
+            _, slot = self._slot_of.popitem(last=False)
             self._node_of[slot] = -1
             return slot
         # clock: sweep the hand, granting one second chance per referenced slot
@@ -154,7 +200,7 @@ class HopCache:
             if self._referenced[slot]:
                 self._referenced[slot] = False
                 continue
-            victim_row = int(self._node_of[slot])
+            victim_row = self._node_of[slot]
             if victim_row >= 0:
                 del self._slot_of[victim_row]
                 self._node_of[slot] = -1
@@ -168,13 +214,12 @@ class HopCache:
         rows are ignored; statistics are preserved (unlike :meth:`clear`).
         """
         dropped = 0
-        for row in np.asarray(rows, dtype=np.int64).ravel():
-            slot = self._slot_of.pop(int(row), None)
+        for row in np.asarray(rows, dtype=np.int64).ravel().tolist():
+            slot = self._slot_of.pop(row, None)
             if slot is None:
                 continue
             self._node_of[slot] = -1
             self._referenced[slot] = False
-            self._order.pop(int(row), None)
             self._free.append(slot)
             dropped += 1
         return dropped
@@ -182,9 +227,8 @@ class HopCache:
     def clear(self) -> None:
         """Drop every entry and reset the statistics."""
         self._slot_of.clear()
-        self._node_of.fill(-1)
+        self._node_of = [-1] * self.capacity
         self._free = list(range(self.capacity - 1, -1, -1))
-        self._order.clear()
         self._referenced.fill(False)
         self._hand = 0
         self.stats = CacheStats()

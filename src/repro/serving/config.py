@@ -1,8 +1,7 @@
 """Configuration for the online serving tier.
 
-One dataclass owns every serving knob — coalescing window, micro-batch
-size, cache policy/budget, node-adaptive depth, and the overload/resilience
-posture (admission control, deadlines, gather retries, dispatcher watchdog,
+One dataclass owns every serving knob — cache policy/budget, node-adaptive
+depth, and the overload/resilience posture (admission control, deadlines, gather retries, dispatcher watchdog,
 drain budget) — so the engine constructor does not sprawl into kwargs and
 the :mod:`repro.api` facade can hand the same object from session to engine
 unchanged.
@@ -27,10 +26,10 @@ class ServingConfig:
     """Knobs for :class:`~repro.serving.engine.ServingEngine`.
 
     Coalescing
-        ``micro_batch_size`` requests (or whatever arrived when the
-        ``window_seconds`` bounded-latency window expires) are answered by one
-        fused gather; duplicate ids within a window and ids already in flight
-        are served from a single gather.
+        Has no knob: the dispatcher claims everything pending the moment it is
+        free, so whatever arrived during the previous dispatch is answered by
+        one fused gather; duplicate ids waiting together and ids already in
+        flight are served from a single gather.
 
     Hot-node cache
         ``cache_policy`` is ``"lru"``, ``"clock"`` or ``"none"``.  Capacity is
@@ -73,8 +72,6 @@ class ServingConfig:
 
     DEFAULT_CACHE_CAPACITY = 4096
 
-    micro_batch_size: int = 256
-    window_seconds: float = 0.002
     cache_policy: str = "lru"
     cache_capacity: Optional[int] = None
     cache_bytes: Optional[int] = None
@@ -91,7 +88,7 @@ class ServingConfig:
     admission_timeout_seconds: float = 1.0
     #: deadline applied to every submit that does not carry its own (None = no deadline)
     default_deadline_seconds: Optional[float] = None
-    #: transient-gather retry budget per micro-batch
+    #: transient-gather retry budget per batch
     gather_retries: int = 2
     gather_backoff_seconds: float = 0.01
     #: dispatcher supervision (heartbeat/respawn knobs come from ``supervisor``)
@@ -102,10 +99,6 @@ class ServingConfig:
     drain_timeout_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.micro_batch_size < 1:
-            raise ValueError("micro_batch_size must be >= 1")
-        if self.window_seconds < 0:
-            raise ValueError("window_seconds must be non-negative")
         allowed = CACHE_POLICIES + ("none",)
         if self.cache_policy not in allowed:
             raise ValueError(f"cache_policy must be one of {allowed}, got {self.cache_policy!r}")

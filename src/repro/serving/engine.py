@@ -7,10 +7,12 @@ shared-memory/memmap transports multi-process training uses
 (:mod:`repro.dataloading.shm`), accepts node-id queries, and answers through
 three layered optimizations:
 
-* **Request coalescing + micro-batching** — queries wait at most
-  ``window_seconds`` so concurrent arrivals share one fused gather; duplicate
-  ids inside the window collapse to one entry, and a query for an id already
-  being gathered joins that in-flight batch instead of issuing another.
+* **Request coalescing** — the dispatcher is work-conserving: the moment it
+  is free it claims everything pending, so the coalescing window is the
+  previous dispatch (an idle engine answers a request in one hand-off, a busy
+  one grows its batches by itself); duplicate ids waiting together collapse
+  to one entry, and a query for an id already being gathered joins that
+  in-flight batch instead of issuing another.
 * **Hot-node hop cache** — skewed (Zipfian) real traffic concentrates on a
   small working set, so an LRU/clock cache of assembled per-node blocks
   (:class:`~repro.serving.cache.HopCache`, sized from host-memory headroom)
@@ -86,7 +88,7 @@ class ServingStats:
     coalesced_window: int = 0
     #: ids that joined a batch already being gathered
     coalesced_inflight: int = 0
-    #: micro-batches whose gather failed even after retries
+    #: batches whose gather failed even after retries
     gather_errors: int = 0
     #: requests refused by admission control (OverloadError)
     shed: int = 0
@@ -122,18 +124,27 @@ class ServingStats:
         return out
 
 
-#: one waiter on a node id: (future, enqueue time, absolute deadline or None)
-_Waiter = Tuple[Future, float, Optional[float]]
+#: one waiter on a node id: (future, enqueue time, absolute deadline or ``_NEVER``)
+_Waiter = Tuple[Future, float, float]
+
+_NEVER = float("inf")
 
 
 class _Entry:
     """Futures waiting on one node id, with per-future enqueue times."""
 
-    __slots__ = ("futures", "enqueued")
+    __slots__ = ("futures", "expires")
 
-    def __init__(self, future: Future, now: float, deadline: Optional[float]) -> None:
+    def __init__(self, future: Future, now: float, deadline: float) -> None:
         self.futures: List[_Waiter] = [(future, now, deadline)]
-        self.enqueued = now
+        #: earliest deadline among the waiters: the dispatcher walks the
+        #: waiters only of entries this says can have expired
+        self.expires = deadline
+
+    def join(self, future: Future, now: float, deadline: float) -> None:
+        self.futures.append((future, now, deadline))
+        if deadline < self.expires:
+            self.expires = deadline
 
 
 class ServingEngine:
@@ -265,7 +276,7 @@ class ServingEngine:
         return out
 
     def fetch(self, rows: Sequence[int]) -> np.ndarray:
-        """Synchronous cache-aware gather (no coalescing window).
+        """Synchronous cache-aware gather (no coalescing).
 
         The lowest-latency path for a caller already holding a batch of ids:
         hits copy from the hot-node cache, misses run one fused gather and
@@ -277,7 +288,7 @@ class ServingEngine:
             blocks = self._assemble(unique)
         if unique.size == rows.size and np.array_equal(unique, rows):
             return blocks
-        return np.ascontiguousarray(blocks[:, inverse, :])
+        return np.take(blocks, inverse, axis=1)
 
     def predict(self, rows: Sequence[int]) -> np.ndarray:
         """Class predictions for ``rows`` via the attached PP-GNN model."""
@@ -294,9 +305,9 @@ class ServingEngine:
     def submit(self, row: int, *, deadline_seconds: Optional[float] = None) -> Future:
         """Enqueue one node-id query; resolves to its ``(M, F)`` block.
 
-        Duplicate ids in the current window — and ids whose batch is already
-        being gathered — share a single gather and bypass admission control
-        (they add no gather work).  A new distinct id must pass admission:
+        Duplicate ids waiting for the dispatcher — and ids whose batch is
+        already being gathered — share a single gather and bypass admission
+        control (they add no gather work).  A new distinct id must pass admission:
         when the pending queue holds ``max_pending`` ids the request is shed
         with :class:`OverloadError` (``shed_policy="reject"``) or blocks up to
         ``admission_timeout_seconds`` for space (``"block"``).
@@ -312,7 +323,7 @@ class ServingEngine:
         future: Future = Future()
         now = time.monotonic()
         ttl = deadline_seconds if deadline_seconds is not None else cfg.default_deadline_seconds
-        deadline = now + ttl if ttl is not None else None
+        deadline = now + ttl if ttl is not None else _NEVER
         inline = False
         admit_deadline: Optional[float] = None
         with self._cond:
@@ -321,12 +332,12 @@ class ServingEngine:
             while True:
                 entry = self._inflight.get(row)
                 if entry is not None:
-                    entry.futures.append((future, now, deadline))
+                    entry.join(future, now, deadline)
                     self.stats.coalesced_inflight += 1
                     return future
                 entry = self._pending.get(row)
                 if entry is not None:
-                    entry.futures.append((future, now, deadline))
+                    entry.join(future, now, deadline)
                     self.stats.coalesced_window += 1
                     return future
                 if self._degraded:
@@ -451,88 +462,70 @@ class ServingEngine:
         return thread
 
     def _serve_loop(self, generation: int) -> None:
-        cfg = self.config
         # bounded waits keep the heartbeat fresh while idle, so the watchdog
         # only sees a stale heartbeat when the loop is genuinely wedged
         wait_slice = self._policy.stall_timeout_seconds / 4.0
         while True:
             with self._cond:
-                self._heartbeat = time.monotonic()
+                self._heartbeat = now = time.monotonic()
                 while generation == self._generation and not self._closed and not self._pending:
                     self._cond.wait(timeout=wait_slice)
-                    self._heartbeat = time.monotonic()
-                if generation != self._generation:
-                    return
-                if self._closed and not self._pending:
-                    return
-                # bounded-latency window: dispatch when the batch fills or the
-                # oldest pending request has waited window_seconds
-                while (
-                    not self._closed
-                    and self._pending
-                    and len(self._pending) < cfg.micro_batch_size
-                ):
-                    oldest = next(iter(self._pending.values()))
-                    remaining = oldest.enqueued + cfg.window_seconds - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=min(remaining, wait_slice))
-                    self._heartbeat = time.monotonic()
-                    if generation != self._generation:
-                        return
+                    self._heartbeat = now = time.monotonic()
                 if generation != self._generation:
                     return
                 if not self._pending:
-                    continue  # a query() cleanup emptied the window mid-wait
+                    return  # closed and flushed
+                # work-conserving claim: everything that queued up while the
+                # previous dispatch ran leaves now, as one batch
                 draining = self._closed
                 batch = self._pending
                 self._pending = OrderedDict()
+                expired = self._drop_expired(batch, now)
                 self._inflight.update(batch)
                 self._cond.notify_all()  # queue space freed: wake blocked admits
+            for future, enqueued, deadline in expired:
+                self._fail(
+                    future,
+                    DeadlineExceeded(
+                        f"request waited {now - enqueued:.3f}s, past its "
+                        f"{deadline - enqueued:.3f}s deadline"
+                    ),
+                )
+            if not batch:
+                continue
             if draining:
                 fault_point("serve.drain", pending=len(batch), generation=generation)
             fault_point("serve.dispatch", batch_size=len(batch), generation=generation)
             self._dispatch(batch, generation)
 
+    def _drop_expired(self, batch: "OrderedDict[int, _Entry]", now: float) -> List[_Waiter]:
+        """Deadline pass: take expired waiters out of ``batch`` before paying for their gather.
+
+        Caller holds ``_cond``.  Entries left with no live waiter leave the
+        batch; the expired waiters are returned for the caller to fail.
+        """
+        expired: List[_Waiter] = []
+        for row in [row for row, entry in batch.items() if entry.expires < now]:
+            entry = batch[row]
+            live = []
+            for waiter in entry.futures:
+                if not waiter[0].cancelled():
+                    (expired if waiter[2] < now else live).append(waiter)
+            if live:
+                entry.futures = live
+                entry.expires = min(waiter[2] for waiter in live)
+            else:
+                del batch[row]
+        self.stats.expired += len(expired)
+        return expired
+
     def _dispatch(self, batch: "OrderedDict[int, _Entry]", generation: int) -> None:
         cfg = self.config
-        now = time.monotonic()
-        expired: List[_Waiter] = []
-        with self._cond:
-            if generation != self._generation:
-                return  # retired by the watchdog; it already settled these futures
-            # deadline pass: drop expired/cancelled waiters before paying for
-            # their gather; entries left with no live waiter leave the batch
-            for row in list(batch.keys()):
-                entry = batch[row]
-                live: List[_Waiter] = []
-                for waiter in entry.futures:
-                    future, _, deadline = waiter
-                    if future.cancelled():
-                        continue
-                    if deadline is not None and now > deadline:
-                        expired.append(waiter)
-                        continue
-                    live.append(waiter)
-                if live:
-                    entry.futures = live
-                else:
-                    del batch[row]
-                    self._inflight.pop(row, None)
-            self.stats.expired += len(expired)
-            if expired or not batch:
-                self._cond.notify_all()
-        for future, enqueued, deadline in expired:
-            self._fail(
-                future,
-                DeadlineExceeded(
-                    f"request waited {now - enqueued:.3f}s, past its "
-                    f"{deadline - enqueued:.3f}s deadline"
-                ),
-            )
-        if not batch:
+        if generation != self._generation:
+            # retired by the watchdog, which already settled these futures
+            # (an unlocked read: the check that decides is the one at retire)
             return
-        rows = np.fromiter(batch.keys(), dtype=np.int64, count=len(batch))
+        rows = np.fromiter(batch, dtype=np.int64, count=len(batch))
         attempt = 0
         while True:
             try:
@@ -552,6 +545,9 @@ class ServingEngine:
             except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
                 self._fail_batch(batch, exc)
                 return
+        # every answer is copied out before the first future resolves: a copy
+        # releases the GIL, and a waiter already woken would take it each time
+        answers = [np.ascontiguousarray(blocks[:, i, :]) for i in range(len(batch))]
         done = time.monotonic()
         # pop from inflight under the lock *before* distributing: after this
         # no new future can join an entry, so entry.futures is final
@@ -561,13 +557,13 @@ class ServingEngine:
             for row in batch:
                 self._inflight.pop(row, None)
             self.stats.batches += 1
-            for _, enqueued, _ in (w for entry in batch.values() for w in entry.futures):
-                self._latencies.append(done - enqueued)
+            self._latencies.extend(
+                done - waiter[1] for entry in batch.values() for waiter in entry.futures
+            )
             self._cond.notify_all()  # wake the drain waiter in close()
-        for i, entry in enumerate(batch.values()):
-            block = np.ascontiguousarray(blocks[:, i, :])
-            for future, _, _ in entry.futures:
-                self._resolve(future, block)
+        for entry, block in zip(batch.values(), answers):
+            for waiter in entry.futures:
+                self._resolve(waiter[0], block)
 
     def _fail_batch(self, batch: "OrderedDict[int, _Entry]", exc: BaseException) -> None:
         with self._cond:
@@ -704,35 +700,26 @@ class ServingEngine:
         out = np.empty(
             (self.num_matrices, unique_rows.size, self.feature_dim), dtype=self.dtype
         )
-        if self._cache is None:
+        cache = self._cache
+        if cache is not None:
+            ids = unique_rows.tolist()
+            spec = fault_point("serve.cache", rows=ids)
+            if spec is not None and spec.kind == "leak":
+                cache = None  # injected cache bypass: the whole batch takes the miss path
+        if cache is None:
             self._gather_rows(unique_rows, out)
             return out
-        miss_positions: List[int] = []
-        cacheable = np.ones(unique_rows.size, dtype=bool)
-        for i, row in enumerate(unique_rows):
-            row = int(row)
-            spec = fault_point("serve.cache", row=row)
-            if spec is not None and spec.kind == "leak":
-                # injected cache bypass: force the miss path for this row
-                cacheable[i] = False
-                miss_positions.append(i)
-                continue
-            block = self._cache.get(row)
-            if block is None:
-                miss_positions.append(i)
-            else:
-                out[:, i, :] = block
-        if miss_positions:
-            positions = np.asarray(miss_positions, dtype=np.int64)
+        misses = cache.get_many(ids, out)
+        if len(misses) == len(ids):
+            self._gather_rows(unique_rows, out)
+            cache.put_many(ids, out)
+        elif misses:
             miss_out = np.empty(
-                (self.num_matrices, positions.size, self.feature_dim), dtype=self.dtype
+                (self.num_matrices, len(misses), self.feature_dim), dtype=self.dtype
             )
-            self._gather_rows(unique_rows[positions], miss_out)
-            out[:, positions, :] = miss_out
-            for j, i in enumerate(positions):
-                if cacheable[i]:
-                    self._cache.put(int(unique_rows[i]), miss_out[:, j, :])
-        self.stats.cache = self._cache.stats.snapshot()
+            self._gather_rows(unique_rows[misses], miss_out)
+            out[:, misses, :] = miss_out
+            cache.put_many([ids[i] for i in misses], miss_out)
         return out
 
     # ------------------------------------------------------------------ #

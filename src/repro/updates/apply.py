@@ -160,17 +160,20 @@ def compute_patches(
     return patch_nodes, patch_rows, patches
 
 
-def _update_fingerprint(
+def _fingerprint_parts(
     graph: CSRGraph,
     features: np.ndarray,
     delta: GraphDelta,
     config: PropagationConfig,
     node_ids: np.ndarray,
     layout: str,
-    source_version: str,
-) -> str:
-    """Identity of one update run: same inputs + same source ⇒ resumable."""
-    parts = {
+) -> Dict[str, object]:
+    """Everything an update's identity hashes except the source version.
+
+    Digesting the arrays is the expensive part, and one ``apply_update`` asks
+    for the fingerprint against up to three source versions: do it once.
+    """
+    return {
         "indptr": digest_array(graph.indptr),
         "indices": digest_array(graph.indices),
         "edge_weight": (
@@ -187,9 +190,12 @@ def _update_fingerprint(
         "dtype": str(np.dtype(config.dtype)),
         "accumulate_dtype": str(np.dtype(config.accumulate_dtype)),
         "layout": layout,
-        "source_version": source_version,
     }
-    return digest_parts(parts)
+
+
+def _update_fingerprint(parts: Dict[str, object], source_version: str) -> str:
+    """Identity of one update run: same inputs + same source ⇒ resumable."""
+    return digest_parts({**parts, "source_version": source_version})
 
 
 def _validate_config(store: FeatureStore, config: PropagationConfig, features: np.ndarray) -> None:
@@ -394,21 +400,12 @@ def apply_update(
             timing=timing,
         )
 
-    fingerprint = _update_fingerprint(
-        graph, features, delta, config, node_ids, source_store.layout, source_version
-    )
+    parts = _fingerprint_parts(graph, features, delta, config, node_ids, source_store.layout)
+    fingerprint = _update_fingerprint(parts, source_version)
 
     last = _load_last_update(versions)
     if last is not None and last.get("target_version") == source_version:
-        prior = _update_fingerprint(
-            graph,
-            features,
-            delta,
-            config,
-            node_ids,
-            source_store.layout,
-            str(last.get("source_version")),
-        )
+        prior = _update_fingerprint(parts, str(last.get("source_version")))
         if last.get("fingerprint") == prior:
             # this exact update is already published and current — the
             # caller's acknowledgement was lost, not the update.  Hand the
@@ -465,15 +462,7 @@ def apply_update(
             and info is not None
             and info.get("target_version") == source_version
             and manifest.fingerprint
-            == _update_fingerprint(
-                graph,
-                features,
-                delta,
-                config,
-                node_ids,
-                source_store.layout,
-                str(info.get("source_version")),
-            )
+            == _update_fingerprint(parts, str(info.get("source_version")))
         ):
             # CURRENT already points at this exact update's target: the crash
             # hit between repointing CURRENT and journaling the publish entry.

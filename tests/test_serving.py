@@ -9,13 +9,17 @@ adaptive depth is on) byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
+import sys
 import threading
 import time
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hardware.memory import MemoryDevice
 from repro.hardware.spec import DeviceSpec
@@ -44,10 +48,50 @@ def zipfian_rows(num_rows: int, size: int, a: float = 1.1, seed: int = 0) -> np.
 
 @pytest.fixture()
 def engine(prepared_store):
-    with ServingEngine(
-        prepared_store.store, ServingConfig(cache_capacity=128, window_seconds=0.001)
-    ) as eng:
+    with ServingEngine(prepared_store.store, ServingConfig(cache_capacity=128)) as eng:
         yield eng
+
+
+def wait_until(condition, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting until {what}"
+        time.sleep(0.001)
+
+
+@contextlib.contextmanager
+def held_dispatcher(eng: ServingEngine):
+    """Hold the dispatcher inside a gather for the duration of the block.
+
+    The engine's last row is submitted as a plug and claimed as a batch of its
+    own; its gather then waits for ``_gather_lock``, which this helper holds.
+    Everything submitted inside the block stays pending — observable, with no
+    timer involved — and leaves as one batch when the block exits.  The block
+    must not call ``fetch``/``gather_direct`` (they need the same lock) and
+    should not submit the plug row.  Yields the plug's future.
+    """
+    plug = eng.num_rows - 1
+    with eng._gather_lock:
+        plugged = eng.submit(plug, deadline_seconds=60.0)
+        wait_until(lambda: plug in eng._inflight, "the dispatcher claims the plug row")
+        yield plugged
+
+
+def close_in_background(eng: ServingEngine, **kwargs) -> threading.Thread:
+    """Start ``eng.close(**kwargs)`` on a thread; return once admission has stopped.
+
+    ``close`` waits for the dispatcher, so under :func:`held_dispatcher` it
+    cannot run on the thread that holds the gather lock.
+    """
+    closer = threading.Thread(target=eng.close, kwargs=kwargs)
+    closer.start()
+    wait_until(lambda: eng.health()["draining"] or eng.health()["closed"], "close() stops admission")
+    return closer
+
+
+def join_closer(closer: threading.Thread) -> None:
+    closer.join(timeout=30)
+    assert not closer.is_alive(), "close() hung"
 
 
 # =========================================================================== #
@@ -129,6 +173,68 @@ class TestHopCache:
         with pytest.raises(ValueError, match="policy"):
             self.make(policy="mru")
 
+    @staticmethod
+    def state(cache):
+        """Everything that decides future hits, victims and returned bytes."""
+        resident = sorted(cache._slot_of.values())
+        return (
+            list(cache._slot_of.items()),  # row -> slot, in LRU order under lru
+            list(cache._node_of),
+            cache._referenced.tolist(),
+            cache._hand,
+            list(cache._free),
+            cache.stats.snapshot(),
+            cache._slab[:, resident, :].tobytes(),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(["lru", "clock"]),
+        capacity=st.integers(1, 6),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["get", "put", "invalidate"]),
+                # up to 12 rows against a capacity of at most 6: batches that overflow the cache
+                st.lists(st.integers(0, 11), max_size=12),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_batch_ops_match_per_row_reference(self, policy, capacity, ops):
+        batched = self.make(capacity, policy)
+        reference = self.make(capacity, policy)
+        for step, (op, rows) in enumerate(ops):
+            if op == "get":
+                out = np.full((2, len(rows), 4), -1.0, dtype=np.float32)
+                misses = batched.get_many(rows, out)
+                expected = [reference.get(row) for row in rows]
+                assert misses == [i for i, block in enumerate(expected) if block is None]
+                for i, block in enumerate(expected):
+                    if block is not None:
+                        assert np.array_equal(out[:, i, :], block)
+            elif op == "put":
+                rows = list(dict.fromkeys(rows))  # put_many takes distinct rows
+                blocks = np.empty((2, len(rows), 4), dtype=np.float32)
+                blocks[:] = 100 * step + np.asarray(rows, dtype=np.float32)[None, :, None]
+                batched.put_many(rows, blocks)
+                for i, row in enumerate(rows):
+                    reference.put(row, blocks[:, i, :])
+            else:
+                assert batched.invalidate(rows) == reference.invalidate(rows)
+            assert self.state(batched) == self.state(reference)
+
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    def test_put_many_longer_than_capacity_keeps_only_its_tail(self, policy):
+        cache = self.make(capacity=3, policy=policy)
+        rows = list(range(8))
+        blocks = np.stack([self.block(row) for row in rows], axis=1)
+        cache.put_many(rows, blocks)
+        assert sorted(cache._slot_of) == [5, 6, 7]  # as with one-by-one puts
+        assert cache.stats.insertions == 8 and cache.stats.evictions == 5
+        out = np.empty((2, 8, 4), dtype=np.float32)
+        assert cache.get_many(rows, out) == [0, 1, 2, 3, 4]
+        assert np.array_equal(out[:, 5:, :], blocks[:, 5:, :])
+
 
 # =========================================================================== #
 # node-adaptive depth
@@ -192,8 +298,6 @@ class TestServingConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"micro_batch_size": 0},
-            {"window_seconds": -1.0},
             {"cache_policy": "fifo"},
             {"cache_capacity": 0},
             {"cache_fraction": 0.0},
@@ -322,13 +426,13 @@ class TestServingCorrectness:
 class TestCoalescing:
     def test_window_dedup_collapses_duplicate_ids(self, prepared_store):
         store = prepared_store.store
-        # huge window so every submission lands in one micro-batch
-        config = ServingConfig(window_seconds=0.2, micro_batch_size=1024, cache_policy="none")
-        with ServingEngine(store, config) as eng:
-            futures = [eng.submit(row % 5) for row in range(50)]
+        with ServingEngine(store, ServingConfig(cache_policy="none")) as eng:
+            # the dispatcher is busy: every submission joins the one batch forming behind it
+            with held_dispatcher(eng):
+                futures = [eng.submit(row % 5) for row in range(50)]
             results = [f.result(timeout=10) for f in futures]
             snap = eng.snapshot()
-            assert snap["batches"] == 1
+            assert snap["batches"] == 2  # the plug's, then everything that waited
             assert snap["coalesced_window"] == 45  # 50 requests over 5 distinct ids
             for row, got in zip(range(50), results):
                 expected = store.gather_packed(np.array([row % 5], dtype=np.int64))[:, 0, :]
@@ -336,7 +440,7 @@ class TestCoalescing:
 
     def test_inflight_join_shares_the_running_gather(self, prepared_store):
         store = prepared_store.store
-        config = ServingConfig(window_seconds=0.0, micro_batch_size=1, cache_policy="none")
+        config = ServingConfig(cache_policy="none")
         # stall the first gather long enough for a duplicate submit to arrive
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=0.3)])
         with ServingEngine(store, config) as eng, plan.active():
@@ -351,14 +455,72 @@ class TestCoalescing:
             assert np.array_equal(joined.result(timeout=10), expected)
             assert eng.snapshot()["coalesced_inflight"] == 1
 
-    def test_micro_batch_size_bounds_dispatch(self, prepared_store):
-        config = ServingConfig(window_seconds=10.0, micro_batch_size=4, cache_policy="none")
-        with ServingEngine(prepared_store.store, config) as eng:
-            futures = [eng.submit(row) for row in range(4)]
-            # batch full => dispatch fires despite the 10s window
-            for f in futures:
-                f.result(timeout=10)
-            assert eng.snapshot()["batches"] == 1
+    def test_idle_engine_answers_each_request_in_its_own_batch(self, engine, prepared_store):
+        store = prepared_store.store
+        rows = zipfian_rows(store.num_rows, 40, seed=5)
+        for row in rows:
+            expected = store.gather_packed(np.array([row]))[:, 0, :]
+            assert np.array_equal(engine.submit(int(row)).result(timeout=10), expected)
+        snap = engine.snapshot()
+        # nobody waits for company: one hand-off per request, nothing to coalesce with
+        assert snap["batches"] == len(rows)
+        assert snap["coalesced_window"] == 0 and snap["coalesced_inflight"] == 0
+
+    def test_everything_submitted_during_a_dispatch_leaves_as_one_batch(
+        self, engine, prepared_store
+    ):
+        store = prepared_store.store
+        rows = zipfian_rows(store.num_rows - 1, 300, seed=6)  # never the plug row
+        engine.fetch(rows[:50])  # part of the batch will hit the cache, part will miss
+        with held_dispatcher(engine):
+            futures = [engine.submit(int(row)) for row in rows]
+            assert engine.health()["queue_depth"] == np.unique(rows).size
+        reference = store.gather_packed(rows)
+        for i, future in enumerate(futures):
+            assert np.array_equal(future.result(timeout=10), reference[:, i, :])
+        snap = engine.snapshot()
+        assert snap["batches"] == 2  # the plug's, then the one that formed behind it
+        assert snap["coalesced_window"] == rows.size - np.unique(rows).size
+        assert snap["coalesced_inflight"] == 0
+
+    @pytest.mark.parametrize("max_pending", [None, 1])
+    def test_no_wakeup_is_lost_between_clients_and_dispatcher(self, prepared_store, max_pending):
+        """Two clients in lock-step with the dispatcher: every hand-off is a
+        notify that must reach a thread which may be just about to wait."""
+        store = prepared_store.store
+        config = ServingConfig(
+            cache_capacity=64,
+            max_pending=max_pending,
+            shed_policy="block",
+            admission_timeout_seconds=5.0,
+        )
+        per_client = 5000
+        failures: list = []
+
+        def client(seed):
+            rows = np.random.default_rng(seed).integers(0, store.num_rows, size=per_client)
+            try:
+                for row in rows.tolist():
+                    eng.submit(row).result(timeout=5)
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingEngine(store, config) as eng:
+                threads = [threading.Thread(target=client, args=(seed,)) for seed in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive(), "client thread hung"
+                assert not failures, failures[:3]
+                snap = eng.snapshot()
+                assert snap["requests"] == 2 * per_client
+                assert snap["shed"] == 0 and snap["expired"] == 0
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_submit_after_close_raises(self, prepared_store):
         eng = ServingEngine(prepared_store.store, ServingConfig())
@@ -375,7 +537,7 @@ class TestServingFaults:
     def test_gather_error_fails_futures_but_not_engine(self, prepared_store):
         store = prepared_store.store
         # retries off: a single injected fault must surface to the caller
-        config = ServingConfig(window_seconds=0.001, cache_policy="none", gather_retries=0)
+        config = ServingConfig(cache_policy="none", gather_retries=0)
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="error", at_hit=1)])
         with ServingEngine(store, config) as eng, plan.active():
             doomed = eng.submit(1)
@@ -396,9 +558,10 @@ class TestServingFaults:
         with ServingEngine(store, ServingConfig(cache_capacity=64)) as eng, plan.active():
             assert np.array_equal(eng.fetch(rows), reference)
             assert np.array_equal(eng.fetch(rows), reference)
+            assert np.array_equal(eng.query(rows), reference)  # the dispatcher's batches too
             # every lookup was bypassed: nothing was inserted, nothing hit
             assert len(eng.cache) == 0
-            assert eng.cache.stats.insertions == 0
+            assert eng.cache.stats.insertions == 0 and eng.cache.stats.lookups == 0
 
     def test_gather_ioerror_direct_path_propagates(self, prepared_store):
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="ioerror", at_hit=1)])
@@ -475,15 +638,10 @@ class TestServingShm:
 # admission control + backpressure
 # =========================================================================== #
 def quiet_config(**overrides):
-    """A config whose dispatcher never fires on its own: a huge window and
-    batch size park submissions in the pending queue so admission, deadline
-    and drain behavior can be observed deterministically."""
-    defaults = dict(
-        window_seconds=30.0,
-        micro_batch_size=100_000,
-        cache_policy="none",
-        watchdog=False,
-    )
+    """No cache and no watchdog: for tests that park submissions in the pending
+    queue behind :func:`held_dispatcher`, so admission, deadline and drain
+    behavior can be observed deterministically."""
+    defaults = dict(cache_policy="none", watchdog=False)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 
@@ -492,52 +650,54 @@ class TestAdmissionControl:
     def test_reject_policy_sheds_with_typed_error(self, prepared_store):
         config = quiet_config(max_pending=4, shed_policy="reject")
         with ServingEngine(prepared_store.store, config) as eng:
-            admitted = [eng.submit(row) for row in range(4)]
-            with pytest.raises(OverloadError):
-                eng.submit(4)
-            assert eng.snapshot()["shed"] == 1
-            assert eng.health()["saturated"]
-            eng.close(drain=True, timeout=30)  # flushes the admitted four
+            with held_dispatcher(eng):
+                admitted = [eng.submit(row) for row in range(4)]
+                with pytest.raises(OverloadError):
+                    eng.submit(4)
+                assert eng.snapshot()["shed"] == 1
+                assert eng.health()["saturated"]
             for row, future in enumerate(admitted):
                 expected = prepared_store.store.gather_packed(np.array([row]))[:, 0, :]
-                assert np.array_equal(future.result(timeout=0), expected)
+                assert np.array_equal(future.result(timeout=10), expected)
 
     def test_coalesced_joins_bypass_admission(self, prepared_store):
         config = quiet_config(max_pending=1, shed_policy="reject")
         with ServingEngine(prepared_store.store, config) as eng:
-            first = eng.submit(5)
-            joined = eng.submit(5)  # same id: no new gather work, always admitted
-            assert eng.snapshot()["coalesced_window"] == 1
-            eng.close(drain=True, timeout=30)
-            assert np.array_equal(first.result(timeout=0), joined.result(timeout=0))
+            with held_dispatcher(eng):
+                first = eng.submit(5)
+                joined = eng.submit(5)  # same id: no new gather work, always admitted
+                assert eng.snapshot()["coalesced_window"] == 1
+            assert np.array_equal(first.result(timeout=10), joined.result(timeout=10))
 
     def test_block_policy_times_out_with_typed_error(self, prepared_store):
         config = quiet_config(
             max_pending=1, shed_policy="block", admission_timeout_seconds=0.05
         )
-        with ServingEngine(prepared_store.store, config) as eng:
+        with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
             eng.submit(0)
             start = time.monotonic()
             with pytest.raises(OverloadError):
                 eng.submit(1)
             assert time.monotonic() - start >= 0.04
             assert eng.snapshot()["shed"] == 1
-            eng.close(drain=True, timeout=30)
 
     def test_block_policy_admits_when_dispatcher_drains(self, prepared_store):
-        # short window: the dispatcher takes row 0 within ~50ms, freeing space
-        config = ServingConfig(
-            window_seconds=0.05,
-            micro_batch_size=1,
-            max_pending=1,
-            shed_policy="block",
-            admission_timeout_seconds=10.0,
-            cache_policy="none",
+        config = quiet_config(
+            max_pending=1, shed_policy="block", admission_timeout_seconds=10.0
         )
         store = prepared_store.store
+        admitted: list = []
         with ServingEngine(store, config) as eng:
-            futures = [eng.submit(0), eng.submit(1)]  # second blocks, then admits
-            for row, future in zip([0, 1], futures):
+            blocked = threading.Thread(target=lambda: admitted.append(eng.submit(1)))
+            with held_dispatcher(eng):
+                first = eng.submit(0)  # fills the queue
+                blocked.start()  # waits for space: the dispatcher is held
+                time.sleep(0.05)
+                assert not admitted
+            # released: the dispatcher claims row 0, which frees the space
+            blocked.join(timeout=10)
+            assert not blocked.is_alive() and len(admitted) == 1
+            for row, future in zip([0, 1], [first, admitted[0]]):
                 expected = store.gather_packed(np.array([row]))[:, 0, :]
                 assert np.array_equal(future.result(timeout=10), expected)
             assert eng.snapshot()["shed"] == 0
@@ -545,10 +705,12 @@ class TestAdmissionControl:
     def test_unbounded_queue_never_sheds(self, prepared_store):
         config = quiet_config(max_pending=None)
         with ServingEngine(prepared_store.store, config) as eng:
-            futures = [eng.submit(row) for row in range(64)]
-            assert eng.snapshot()["shed"] == 0
-            eng.close(drain=True, timeout=30)
-            assert all(future.done() for future in futures)
+            with held_dispatcher(eng):
+                futures = [eng.submit(row) for row in range(64)]
+                assert eng.health()["queue_depth"] == 64
+                assert eng.snapshot()["shed"] == 0
+            for future in futures:
+                future.result(timeout=10)
 
 
 # =========================================================================== #
@@ -556,31 +718,32 @@ class TestAdmissionControl:
 # =========================================================================== #
 class TestDeadlines:
     def test_expired_request_fails_typed_before_gather(self, prepared_store):
-        config = ServingConfig(window_seconds=0.15, cache_policy="none", watchdog=False)
-        with ServingEngine(prepared_store.store, config) as eng:
-            doomed = eng.submit(3, deadline_seconds=0.02)  # expires inside the window
+        with ServingEngine(prepared_store.store, quiet_config()) as eng:
+            with held_dispatcher(eng) as plugged:
+                doomed = eng.submit(3, deadline_seconds=0.02)  # expires while it waits
+                time.sleep(0.05)
             with pytest.raises(DeadlineExceeded):
                 doomed.result(timeout=10)
+            plugged.result(timeout=10)
             assert eng.snapshot()["expired"] == 1
-            assert eng.snapshot()["batches"] == 0  # nothing was gathered for it
+            assert eng.snapshot()["batches"] == 1  # the plug's: nothing was gathered for row 3
 
     def test_config_default_deadline_applies(self, prepared_store):
-        config = ServingConfig(
-            window_seconds=0.15,
-            default_deadline_seconds=0.02,
-            cache_policy="none",
-            watchdog=False,
-        )
+        config = quiet_config(default_deadline_seconds=0.02)
         with ServingEngine(prepared_store.store, config) as eng:
+            with held_dispatcher(eng):
+                doomed = eng.submit(3)
+                time.sleep(0.05)
             with pytest.raises(DeadlineExceeded):
-                eng.submit(3).result(timeout=10)
+                doomed.result(timeout=10)
 
     def test_mixed_deadlines_on_one_entry(self, prepared_store):
         store = prepared_store.store
-        config = ServingConfig(window_seconds=0.15, cache_policy="none", watchdog=False)
-        with ServingEngine(store, config) as eng:
-            doomed = eng.submit(7, deadline_seconds=0.02)
-            patient = eng.submit(7)  # coalesces onto the same entry, no deadline
+        with ServingEngine(store, quiet_config()) as eng:
+            with held_dispatcher(eng):
+                doomed = eng.submit(7, deadline_seconds=0.02)
+                patient = eng.submit(7)  # coalesces onto the same entry, no deadline
+                time.sleep(0.05)
             expected = store.gather_packed(np.array([7]))[:, 0, :]
             assert np.array_equal(patient.result(timeout=10), expected)
             with pytest.raises(DeadlineExceeded):
@@ -594,7 +757,6 @@ class TestGatherRetry:
     def test_transient_error_is_retried_to_success(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             gather_retries=2,
             gather_backoff_seconds=0.001,
@@ -611,7 +773,6 @@ class TestGatherRetry:
     def test_transient_ioerror_is_retried_to_success(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             gather_backoff_seconds=0.001,
             watchdog=False,
@@ -623,7 +784,6 @@ class TestGatherRetry:
 
     def test_persistent_fault_exhausts_budget_and_fails_futures(self, prepared_store):
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             gather_retries=1,
             gather_backoff_seconds=0.001,
@@ -662,7 +822,6 @@ class TestWatchdog:
     def test_dispatcher_crash_fails_inflight_and_respawns(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=eager_policy(),
@@ -686,7 +845,6 @@ class TestWatchdog:
     def test_stalled_dispatcher_is_detected_and_replaced(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=SupervisorPolicy(
@@ -713,7 +871,6 @@ class TestWatchdog:
     def test_spent_budget_degrades_to_inline_gathers(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
             cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=eager_policy(max_respawns=0),
@@ -739,8 +896,6 @@ class TestWatchdog:
     def test_degradation_drains_stranded_pending_inline(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.001,
-            micro_batch_size=1,
             cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=SupervisorPolicy(
@@ -775,23 +930,29 @@ class TestDrainAndClose:
     def test_drain_flushes_pending_bit_identically(self, prepared_store):
         store = prepared_store.store
         with ServingEngine(store, quiet_config()) as eng:
-            futures = {row: eng.submit(row) for row in range(8)}
-            eng.close(drain=True, timeout=30)
+            with held_dispatcher(eng):
+                futures = {row: eng.submit(row) for row in range(8)}
+                closer = close_in_background(eng, drain=True, timeout=30)
+            join_closer(closer)
             for row, future in futures.items():
                 expected = store.gather_packed(np.array([row]))[:, 0, :]
                 assert np.array_equal(future.result(timeout=0), expected)
 
     def test_close_without_drain_fails_pending_typed(self, prepared_store):
         with ServingEngine(prepared_store.store, quiet_config()) as eng:
-            future = eng.submit(1)
-            eng.close(drain=False)
-            with pytest.raises(RuntimeError, match="closed before dispatch"):
-                future.result(timeout=0)
+            with held_dispatcher(eng) as plugged:
+                future = eng.submit(1)
+                closer = close_in_background(eng, drain=False)
+                # pending and claimed work alike fail before close() returns
+                for doomed in (future, plugged):
+                    with pytest.raises(RuntimeError, match="closed before dispatch"):
+                        doomed.result(timeout=10)
+            join_closer(closer)
 
     def test_close_without_drain_fails_claimed_inflight_batch(self, prepared_store):
         # the batch is already claimed (mid-gather) when close lands: its
         # futures must still resolve typed, not hang unresolved forever
-        config = ServingConfig(window_seconds=0.001, cache_policy="none", watchdog=False)
+        config = ServingConfig(cache_policy="none", watchdog=False)
         plan = FaultPlan(
             specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=0.5)]
         )
@@ -809,9 +970,11 @@ class TestDrainAndClose:
             specs=[FaultSpec(site="serve.drain", kind="stall", at_hit=1, stall_seconds=1.0)]
         )
         with ServingEngine(prepared_store.store, quiet_config()) as eng, plan.active():
-            future = eng.submit(1)
             start = time.monotonic()
-            eng.close(drain=True, timeout=0.1)
+            with held_dispatcher(eng):
+                future = eng.submit(1)  # still pending at close: claimed as a drain batch
+                closer = close_in_background(eng, drain=True, timeout=0.1)
+            join_closer(closer)
             assert time.monotonic() - start < 5.0  # bounded, despite the stall
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=0)
@@ -831,8 +994,10 @@ class TestDrainAndClose:
         )
         plan = FaultPlan(specs=[FaultSpec(site="serve.drain", kind="error", at_hit=1)])
         with ServingEngine(prepared_store.store, config) as eng, plan.active():
-            futures = [eng.submit(row) for row in range(4)]
-            eng.close(drain=True, timeout=30)
+            with held_dispatcher(eng):
+                futures = [eng.submit(row) for row in range(4)]
+                closer = close_in_background(eng, drain=True, timeout=30)
+            join_closer(closer)
             # no future may be left unresolved: data or a typed serving error
             for future in futures:
                 assert future.done()
@@ -854,12 +1019,13 @@ class TestHealth:
         assert health["shed_rate"] == 0.0
 
     def test_saturation_is_visible(self, prepared_store):
-        with ServingEngine(prepared_store.store, quiet_config(max_pending=2)) as eng:
+        config = quiet_config(max_pending=2)
+        with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
             eng.submit(0)
             eng.submit(1)
             health = eng.health()
             assert health["queue_depth"] == 2 and health["saturated"]
-            eng.close(drain=True, timeout=30)
+            assert health["inflight"] == 1  # the plug
 
     def test_closed_engine_reports_not_ready(self, prepared_store):
         eng = ServingEngine(prepared_store.store, ServingConfig())
@@ -873,21 +1039,19 @@ class TestHealth:
 # =========================================================================== #
 class TestQueryCleanup:
     def test_timeout_abandons_remaining_futures(self, prepared_store):
-        with ServingEngine(prepared_store.store, quiet_config()) as eng:
+        with ServingEngine(prepared_store.store, quiet_config()) as eng, held_dispatcher(eng):
             with pytest.raises(TimeoutError):
                 eng.query([1, 2, 3], timeout=0.05)
             with eng._cond:
                 assert len(eng._pending) == 0  # nothing left enqueued
-            eng.close(drain=True, timeout=30)
 
     def test_shed_mid_query_abandons_admitted_futures(self, prepared_store):
         config = quiet_config(max_pending=2, shed_policy="reject")
-        with ServingEngine(prepared_store.store, config) as eng:
+        with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
             with pytest.raises(OverloadError):
                 eng.query([0, 1, 2])  # third submit sheds; first two must not leak
             with eng._cond:
                 assert len(eng._pending) == 0
-            eng.close(drain=True, timeout=30)
 
 
 # =========================================================================== #
@@ -902,8 +1066,6 @@ class TestOverloadEndToEnd:
         serving afterwards."""
         store = prepared_store.store
         config = ServingConfig(
-            window_seconds=0.002,
-            micro_batch_size=64,
             max_pending=32,
             shed_policy="reject",
             cache_capacity=128,
@@ -929,11 +1091,16 @@ class TestOverloadEndToEnd:
             rows = zipfian_rows(store.num_rows, per_thread, seed=tid)
             local = []
             shed = 0
-            for row in rows:
+            for sent, row in enumerate(rows, start=1):
                 try:
                     local.append((int(row), eng.submit(int(row))))
                 except OverloadError:
                     shed += 1
+                if sent % 16 == 0 and local:
+                    # stay in step with the dispatcher: the clients can submit
+                    # everything before it first runs, and the batch that is
+                    # killed would then be the whole workload
+                    futures_wait([local[-1][1]], timeout=30)
             with lock:
                 outcomes["shed"] += shed
                 collected.extend(local)

@@ -19,6 +19,7 @@ in a *thread* of this process, so a SIGKILL would take down the test runner
 from __future__ import annotations
 
 import threading
+from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
@@ -36,8 +37,6 @@ CHAOS_KINDS = ("error", "stall", "ioerror", "leak")
 def chaos_config() -> ServingConfig:
     """Every resilience feature armed, tuned for sub-second recovery."""
     return ServingConfig(
-        window_seconds=0.002,
-        micro_batch_size=64,
         cache_capacity=128,
         max_pending=64,
         shed_policy="reject",
@@ -74,11 +73,16 @@ def test_randomized_faults_lose_no_request(prepared_store, seed):
 
     def client(tid, rows):
         local, lost = [], 0
-        for row in rows:
+        for sent, row in enumerate(rows, start=1):
             try:
                 local.append((int(row), eng.submit(int(row))))
             except OverloadError:
                 lost += 1
+            if sent % 16 == 0 and local:
+                # stay in step with the dispatcher: the clients can submit
+                # everything before it first runs, and a first batch that a
+                # fault takes down would then be the whole workload
+                futures_wait([local[-1][1]], timeout=30)
         with lock:
             collected.extend(local)
         shed[tid] = lost

@@ -338,6 +338,54 @@ class TestApplyUpdate:
         )
         assert second.status == "applied" and second.version == "v0002"
 
+    def test_chained_update_digests_its_inputs_once(self, tmp_path, monkeypatch):
+        """An update on top of another asks for its fingerprint against two
+        source versions (its own, and the one ``LAST_UPDATE.json`` names): the
+        input arrays are hashed once for both."""
+        from repro.updates import apply as apply_module
+
+        graph = scenario_graph()
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((400, 6)).astype(np.float32)
+        node_ids = np.unique(rng.integers(0, 400, 200))
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=node_ids,
+            root=tmp_path / "store", block_size=100,
+        )
+        first = apply_update(
+            tmp_path / "store", graph, features, scenario_delta(graph, seed=40), config
+        )
+        digested: list = []
+        real = apply_module.digest_array
+        monkeypatch.setattr(
+            apply_module, "digest_array", lambda array: (digested.append(array), real(array))[1]
+        )
+        second = apply_update(
+            tmp_path / "store",
+            first.new_graph,
+            first.new_features,
+            scenario_delta(first.new_graph, seed=41),
+            config,
+        )
+        assert second.status == "applied" and second.version == "v0002"
+        for array in (first.new_features, first.new_graph.indptr, first.new_graph.indices):
+            assert sum(seen is array for seen in digested) == 1
+
+    def test_update_fingerprint_is_stable_across_releases(self, tiny_graph):
+        """Staged runs and ``LAST_UPDATE.json`` written by an earlier release
+        must still be recognised: these values were computed before the
+        fingerprint was split into shared parts + source version."""
+        from repro.updates.apply import _fingerprint_parts, _update_fingerprint
+
+        features = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
+        delta = GraphDelta(insertions=np.array([[0, 2]]), deletions=np.array([[4, 5]]))
+        parts = _fingerprint_parts(
+            tiny_graph, features, delta, PropagationConfig(num_hops=2), np.arange(0, 8, 2), "packed"
+        )
+        assert _update_fingerprint(parts, "base") == "aa343279f979517e7888dda43031859a"
+        assert _update_fingerprint(parts, "v0001") == "caf7c4bf508e99908077c1ddf250be44"
+
     def test_noop_when_frontier_misses_stored_rows(self, tmp_path):
         # two 4-cycles with no path between them; store only covers the first
         edges = np.array(
@@ -568,9 +616,7 @@ class TestServingSwap:
         new_packed = np.asarray(result.store.packed_matrix())
         patched = result.patch_rows
         unpatched = np.setdiff1d(np.arange(store.num_rows), patched)[:4]
-        with ServingEngine(
-            store, ServingConfig(cache_capacity=64, window_seconds=0.001)
-        ) as engine:
+        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
             assert engine.health()["store_version"] == "base"
             warm_rows = np.concatenate([patched[:4], unpatched])
             before = engine.fetch(warm_rows)
@@ -596,9 +642,7 @@ class TestServingSwap:
         plan = FaultPlan(
             specs=[FaultSpec(site="update.swap", kind="error", match={"stage": "engine"})]
         )
-        with ServingEngine(
-            store, ServingConfig(cache_capacity=64, window_seconds=0.001)
-        ) as engine:
+        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
             engine.begin_update("mem1")
             with plan.active():
                 with pytest.raises(UpdateSwapError):
@@ -668,9 +712,7 @@ class TestServingSwap:
             with lock:
                 answers.extend(local)
 
-        with ServingEngine(
-            store, ServingConfig(cache_capacity=64, window_seconds=0.001)
-        ) as engine:
+        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
             threads = [threading.Thread(target=client, args=(s,)) for s in range(4)]
             for t in threads:
                 t.start()
@@ -713,7 +755,7 @@ class TestSessionUpdates:
         dataset = copy.copy(small_dataset)
         with Session(dataset, root=tmp_path / "store") as session:
             session.preprocess(num_hops=2, mode="blocked", store_layout="packed")
-            engine = session.serve(ServingConfig(cache_capacity=32, window_seconds=0.001))
+            engine = session.serve(ServingConfig(cache_capacity=32))
             delta = scenario_delta(dataset.graph, seed=21, feature_dim=dataset.features.shape[1])
             result = session.apply_updates(delta)
             assert result.status == "applied" and result.version == "v0001"
