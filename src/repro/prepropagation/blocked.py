@@ -88,7 +88,7 @@ from repro.utils.timer import Timer
 
 logger = get_logger("prepropagation.blocked")
 
-__all__ = ["open_store_arrays", "propagate_blocked", "write_row_runs"]
+__all__ = ["open_store_arrays", "propagate_blocked"]
 
 #: how often blocked queue operations re-check the shutdown flag (seconds)
 _POLL_SECONDS = 0.05
@@ -401,26 +401,6 @@ def open_store_arrays(root: Path) -> Tuple[List[np.ndarray], List[np.memmap]]:
     for m in range(num_matrices):
         matrices.append(np.load(root / f"hop_{m:02d}.npy", mmap_mode="r+"))
     return matrices, list(matrices)
-
-
-def write_row_runs(dest: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """Write ``values`` into ``dest[rows]`` as contiguous-run slice assignments.
-
-    ``rows`` must be sorted and unique.  Scattered fancy-index stores on a
-    memmap fault pages one row at a time; decomposing into maximal contiguous
-    runs turns the patch into the same bulk slice writes the blocked engine
-    uses (``dest[lo:hi] = block``), which is what row-range patching wants.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return
-    if rows.shape[0] != values.shape[0]:
-        raise ValueError("rows and values must align")
-    boundaries = np.flatnonzero(np.diff(rows) != 1) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [rows.size]])
-    for lo, hi in zip(starts, stops):
-        dest[rows[lo] : rows[lo] + (hi - lo)] = values[lo:hi]
 
 
 # --------------------------------------------------------------------------- #

@@ -7,14 +7,15 @@ The update algorithm, end to end:
 2. **Frontier** — the affected node set by reverse r-hop expansion over the
    union of old/new operator supports (:mod:`repro.updates.frontier`).
 3. **Patch** — recompute only the affected store rows
-   (:func:`compute_patches`): per kernel, dependency sets are grown backwards
-   hop by hop through :class:`~repro.graph.operators.PartialOperator` row
-   extraction, then values flow forward through the same SpMM kernel, the
+   (:func:`compute_patches`): per kernel, nested dependency cones are grown
+   backwards hop by hop on a node mask over the operator's support, the
+   :class:`~repro.graph.operators.PartialOperator` rows of the widest cone
+   are built once, then values flow forward through the same SpMM kernel, the
    same accumulation dtype and the same casts the blocked engine uses — so a
    patched row is **byte-identical** to a from-scratch re-propagation of the
    updated graph.
-4. **Stage** — clone the current store version, write the patch rows through
-   the blocked engine's row-run writer, journaling each phase with fsync'd
+4. **Stage** — clone the current store version, write the patch rows (one
+   scattered store per hop matrix), journaling each phase with fsync'd
    digests (:class:`~repro.resilience.checkpoint.PhaseJournal`): a SIGKILL at
    any point resumes (trusted journal prefix) or rolls back (staging discard)
    with the published store untouched.
@@ -42,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.operators import PartialOperator
-from repro.prepropagation.blocked import open_store_arrays, write_row_runs
+from repro.graph.operators import PartialOperator, csr_rows
+from repro.prepropagation.blocked import open_store_arrays
 from repro.prepropagation.propagator import PropagationConfig
 from repro.prepropagation.store import FeatureStore, HopFeatures
 from repro.resilience.checkpoint import (
@@ -105,58 +106,84 @@ def compute_patches(
     Returns ``(patch_nodes, patch_rows, patches)``: the targeted nodes that
     are actually stored (sorted), their store-row indices, and one ``(P, F)``
     array per hop matrix in kernel-major order.  Per kernel the dependency
-    sets are grown backwards (``D[h-1] ⊇`` the columns the operator rows of
-    ``D[h]`` touch), then values flow forward hop by hop; every SpMM runs the
-    same scipy kernel over byte-identical operator rows and byte-identical
-    source values as a full blocked re-propagation, so the patches match a
-    from-scratch rebuild bit for bit.
+    cones are grown backwards on a node mask (``D[h-1] = D[h] ∪`` the
+    columns the operator rows of ``D[h]`` touch, so the cones are nested),
+    the operator rows of the widest cone ``D[1]`` are built once and every
+    higher hop's rows cut from that block, then values flow forward hop by
+    hop; every SpMM runs the same scipy kernel over byte-identical operator
+    rows and byte-identical source values as a full blocked re-propagation,
+    so the patches match a from-scratch rebuild bit for bit.
 
-    ``partials`` lets callers share pre-built per-kernel
+    ``target_nodes`` must lie in ``[0, num_nodes)``; ids that are not stored
+    rows are skipped.  ``partials`` lets callers share pre-built per-kernel
     :class:`PartialOperator` objects across calls (operator normalization is
     a pure function of the graph, so sharing cannot change any byte); the
     dependency expansion itself always runs fresh from ``target_nodes``.
     """
+    num_nodes = new_graph.num_nodes
     node_ids = np.asarray(node_ids, dtype=np.int64)
-    target_nodes = np.unique(np.asarray(target_nodes, dtype=np.int64))
-    patch_nodes = np.intersect1d(target_nodes, node_ids)
-    patch_rows = np.searchsorted(node_ids, patch_nodes)
+    target_nodes = np.asarray(target_nodes, dtype=np.int64)
+    if target_nodes.size and (target_nodes.min() < 0 or target_nodes.max() >= num_nodes):
+        raise ValueError(f"target_nodes out of range [0, {num_nodes})")
+    targeted = np.zeros(num_nodes, dtype=bool)
+    targeted[target_nodes] = True
+    patch_rows = np.flatnonzero(targeted[node_ids])
+    patch_nodes = node_ids[patch_rows]
     num_hops = config.num_hops
     dtype = np.dtype(config.dtype)
     accumulate_dtype = np.dtype(config.accumulate_dtype)
-    patches: List[np.ndarray] = [
-        np.empty((patch_nodes.size, new_features.shape[1]), dtype=dtype)
-        for _ in range(config.num_matrices)
-    ]
     if patch_nodes.size == 0:
-        return patch_nodes, patch_rows, patches
+        return patch_nodes, patch_rows, [
+            np.empty((0, new_features.shape[1]), dtype=dtype) for _ in range(config.num_matrices)
+        ]
     if partials is not None and len(partials) != config.num_kernels:
         raise ValueError(
             f"expected {config.num_kernels} partial operator(s), got {len(partials)}"
         )
+    patches: List[np.ndarray] = []
     for k, name in enumerate(config.operators):
+        patches.append(new_features[patch_nodes].astype(dtype, copy=False))
+        if num_hops == 0:
+            continue
         if partials is not None:
             partial = partials[k]
         else:
             partial = PartialOperator(name, new_graph, **config.kwargs_for(k))
-        # backward pass: D[h] = rows whose hop-h values the patch needs
-        deps: List[np.ndarray] = [None] * (num_hops + 1)
-        op_rows: List = [None] * (num_hops + 1)
-        deps[num_hops] = patch_nodes
-        for hop in range(num_hops, 0, -1):
-            rows = partial.rows(deps[hop])
-            if rows.dtype != accumulate_dtype:
-                rows = rows.astype(accumulate_dtype)
-            op_rows[hop] = rows
-            deps[hop - 1] = np.union1d(patch_nodes, np.unique(rows.indices))
-        # forward pass: hop h values of the new graph at exactly deps[h]
-        buffer = np.zeros((new_graph.num_nodes, new_features.shape[1]), dtype=accumulate_dtype)
-        buffer[deps[0]] = new_features[deps[0]].astype(accumulate_dtype, copy=False)
-        patches[k * (num_hops + 1)][:] = new_features[patch_nodes].astype(dtype, copy=False)
+        # backward pass: cones[h] = sorted nodes whose hop-h values the patch
+        # needs.  Growing one mask makes each cone contain the next even
+        # without self-loops, and the support pattern contains the operator's,
+        # so every column an operator row of cones[h] reads lies in cones[h-1].
+        support = partial.support_matrix
+        cone = np.zeros(num_nodes, dtype=bool)
+        cone[patch_nodes] = True
+        cones = [patch_nodes]
+        for _ in range(num_hops):
+            cone[csr_rows(support, cones[-1]).indices] = True
+            cones.append(np.flatnonzero(cone))
+        cones.reverse()
+        widest = cones[1]
+        block = partial.rows(widest)
+        if block.dtype != accumulate_dtype:
+            block = block.astype(accumulate_dtype)
+        # forward pass: ``buffer`` holds the hop h-1 values at cones[h-1]; no
+        # other row is read, so it needs no zero fill
+        if cones[0].size == num_nodes:
+            buffer = new_features.astype(accumulate_dtype)
+        else:
+            buffer = np.empty((num_nodes, new_features.shape[1]), dtype=accumulate_dtype)
+            buffer[cones[0]] = new_features[cones[0]]
         for hop in range(1, num_hops + 1):
-            values = op_rows[hop] @ buffer
-            positions = np.searchsorted(deps[hop], patch_nodes)
-            patches[k * (num_hops + 1) + hop][:] = values[positions].astype(dtype, copy=False)
-            buffer[deps[hop]] = values
+            rows = cones[hop]
+            if rows.size < widest.size:
+                values = csr_rows(block, np.searchsorted(widest, rows)) @ buffer
+            else:
+                values = block @ buffer
+            patch = values if rows.size == patch_nodes.size else values[np.searchsorted(rows, patch_nodes)]
+            patches.append(patch.astype(dtype, copy=False))
+            if rows.size == num_nodes:
+                buffer = values
+            elif hop < num_hops:
+                buffer[rows] = values
     return patch_nodes, patch_rows, patches
 
 
@@ -635,7 +662,7 @@ def apply_update(
                 "update.apply", plan=fault_plan, stage="patch", matrix=m
             )
             if spec is None or spec.kind != "leak":
-                write_row_runs(matrices[m], patch_rows, patch)
+                matrices[m][patch_rows] = patch
             written.append(m)
         if written:
             # one msync for the whole batch — the packed layout backs every

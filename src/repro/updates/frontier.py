@@ -13,9 +13,10 @@ self-loops never *extend* reachability beyond that closure), so the ball over
 the **bidirectional union** of the old and new adjacency patterns is a sound
 superset for every kernel — a deleted edge still propagated influence in the
 old snapshot, an inserted one does in the new, hence both graphs.  The
-expansion (:func:`expand_frontier_union`) is a level-synchronous multi-source
-BFS straight over the CSR arrays — O(edges touched), so a local delta costs
-milliseconds even on large graphs.
+expansion walks the old and new edges as one concatenated ``(src, dst)`` edge
+list, forwards and backwards: each hop is one boolean-mask pass per direction
+over every edge, so an update costs O(E) per hop whatever the size of the
+delta — no transpose, sort or set algebra.
 
 Over-approximation is free for correctness: re-propagating a row whose
 dependency chain did not actually change rewrites byte-identical values.
@@ -35,17 +36,29 @@ from repro.updates.delta import GraphDelta
 __all__ = ["affected_frontier", "expand_frontier", "expand_frontier_union"]
 
 
-def _neighbors(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """Out-neighbors of ``frontier`` via one flat-index gather (with dups)."""
-    starts, stops = graph.neighbor_slices(frontier)
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    prefix = np.zeros(frontier.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=prefix[1:])
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
-    return graph.indices[flat]
+def _edge_list(graphs: Sequence[CSRGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of ``graphs`` as one concatenated ``(src, dst)`` pair of arrays."""
+    sources = [np.repeat(np.arange(g.num_nodes), np.diff(g.indptr)) for g in graphs]
+    return np.concatenate(sources), np.concatenate([g.indices for g in graphs])
+
+
+def _ball(
+    edges: Sequence[tuple[np.ndarray, np.ndarray]], num_nodes: int, seeds: np.ndarray, hops: int
+) -> np.ndarray:
+    """Sorted nodes within ``hops`` steps of ``seeds`` (seeds included) along
+    ``edges``, a sequence of ``(tail, head)`` array pairs walked tail -> head."""
+    reached = np.zeros(num_nodes, dtype=bool)
+    reached[seeds] = True
+    frontier = reached.copy()
+    for _ in range(int(hops)):
+        hit = np.zeros(num_nodes, dtype=bool)
+        for tail, head in edges:
+            hit[head[frontier[tail]]] = True
+        frontier = hit & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+    return np.flatnonzero(reached)
 
 
 def expand_frontier_union(
@@ -60,20 +73,11 @@ def expand_frontier_union(
     """
     if not graphs:
         raise ValueError("expand_frontier_union needs at least one graph")
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    seeds = np.asarray(seeds, dtype=np.int64)
     num_nodes = graphs[0].num_nodes
-    if seeds.size and (seeds[0] < 0 or seeds[-1] >= num_nodes):
+    if seeds.size and (seeds.min() < 0 or seeds.max() >= num_nodes):
         raise ValueError(f"seeds out of range [0, {num_nodes})")
-    reached = seeds
-    frontier = seeds
-    for _ in range(int(hops)):
-        if frontier.size == 0:
-            break
-        gathered = [_neighbors(graph, frontier) for graph in graphs]
-        neighbors = np.unique(np.concatenate(gathered))
-        frontier = np.setdiff1d(neighbors, reached, assume_unique=True)
-        reached = np.union1d(reached, frontier)
-    return reached
+    return _ball([_edge_list(graphs)], num_nodes, seeds, hops)
 
 
 def expand_frontier(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
@@ -103,5 +107,6 @@ def affected_frontier(
         operator_radius(name, **config.kwargs_for(k))
         for k, name in enumerate(config.operators)
     )
-    graphs = [old_graph, new_graph, old_graph.reverse(), new_graph.reverse()]
-    return expand_frontier_union(graphs, seeds, hops=config.num_hops * radius)
+    # the reversed edges are the same two arrays walked head -> tail
+    src, dst = _edge_list([old_graph, new_graph])
+    return _ball([(src, dst), (dst, src)], old_graph.num_nodes, seeds, config.num_hops * radius)

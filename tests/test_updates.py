@@ -28,8 +28,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.builders import from_edge_index, symmetrize
+from repro.graph.csr import CSRGraph
+from repro.graph.operators import PartialOperator
 from repro.graph.operators import operator_radius
 from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
@@ -56,6 +59,7 @@ from repro.updates import (
     apply_update,
     compute_patches,
     expand_frontier,
+    expand_frontier_union,
 )
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
@@ -98,6 +102,47 @@ def from_scratch(graph, features, config, node_ids):
         graph, features, config, node_ids=node_ids, root=None, block_size=100
     )
     return np.asarray(store.packed_matrix())
+
+
+@st.composite
+def small_graphs(draw, directed=False, num_nodes=None):
+    """Random graphs of up to 24 nodes; nodes from ``linked`` on are isolated."""
+    if num_nodes is None:
+        num_nodes = draw(st.integers(2, 24))
+    linked = draw(st.integers(1, num_nodes))
+    node = st.integers(0, linked - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * num_nodes))
+    graph = from_edge_index(np.array(edges, dtype=np.int64).reshape(-1, 2).T, num_nodes=num_nodes)
+    if not directed and draw(st.booleans()):
+        graph = symmetrize(graph)
+    return graph
+
+
+def _reference_neighbors(graph, frontier):
+    """Out-neighbors of ``frontier`` via one flat-index gather (with dups)."""
+    starts, stops = graph.neighbor_slices(frontier)
+    counts = stops - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    prefix = np.zeros(frontier.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=prefix[1:])
+    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - prefix, counts)
+    return graph.indices[flat]
+
+
+def reference_ball(graphs, seeds, hops):
+    """Sorted-set level-synchronous BFS over the union of ``graphs``: the
+    reference the mask-pass frontier expansion must reproduce."""
+    reached = frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    for _ in range(hops):
+        if frontier.size == 0:
+            break
+        gathered = [_reference_neighbors(graph, frontier) for graph in graphs]
+        neighbors = np.unique(np.concatenate(gathered))
+        frontier = np.setdiff1d(neighbors, reached, assume_unique=True)
+        reached = np.union1d(reached, frontier)
+    return reached
 
 
 # --------------------------------------------------------------------------- #
@@ -196,6 +241,40 @@ class TestFrontier:
         after = from_scratch(new_graph, new_features, config, node_ids)
         changed = np.flatnonzero(np.any(before != after, axis=(0, 2)))
         assert np.isin(changed, frontier).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_affected_frontier_matches_sorted_set_bfs(self, data):
+        """Directed old/new pairs: the mask passes reach exactly the nodes the
+        sorted-set BFS over ``[old, new, old.reverse(), new.reverse()]`` does.
+
+        ``new`` is drawn independently of ``old``: when it is ``old`` with the
+        delta applied, its extra edges join seeds to seeds and reach nothing
+        ``old`` does not, which would leave the new graph's share untested."""
+        old = data.draw(small_graphs(directed=True))
+        new = data.draw(small_graphs(directed=True, num_nodes=old.num_nodes))
+        node = st.integers(0, old.num_nodes - 1)
+        edges = st.lists(st.tuples(node, node), max_size=4)
+        feature_nodes = data.draw(st.lists(node, max_size=3))
+        delta = GraphDelta(
+            insertions=data.draw(edges),
+            deletions=data.draw(edges),
+            feature_nodes=feature_nodes,
+            feature_values=np.zeros((len(feature_nodes), 2)),
+            symmetric=False,
+        )
+        config = PropagationConfig(
+            num_hops=data.draw(st.integers(0, 3)),
+            operators=("normalized_adjacency", "ppr"),
+            operator_kwargs=({}, {"num_iterations": data.draw(st.integers(1, 3))}),
+        )
+        hops = config.num_hops * max(
+            operator_radius(name, **config.kwargs_for(k)) for k, name in enumerate(config.operators)
+        )
+        graphs = [old, new, old.reverse(), new.reverse()]
+        expected = reference_ball(graphs, delta.seed_nodes(), hops)
+        assert np.array_equal(affected_frontier(old, new, delta, config), expected)
+        assert np.array_equal(expand_frontier_union(graphs, delta.seed_nodes(), hops), expected)
 
     def test_empty_delta_empty_frontier(self, tiny_graph):
         delta = GraphDelta()
@@ -419,6 +498,121 @@ class TestApplyUpdate:
         for m, patch in enumerate(patches):
             assert patch.tobytes() == np.ascontiguousarray(full[m][patch_rows]).tobytes()
         assert np.array_equal(node_ids[patch_rows], patch_nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_compute_patches_equals_rebuild_rows(self, data):
+        """Byte equality with a from-scratch rebuild over random directed and
+        undirected graphs with isolated nodes, operators without symmetrization
+        or self-loops (their dependency cones only nest through the explicit
+        union), a subset of stored rows and empty / single / all-node /
+        arbitrary targets."""
+        graph = data.draw(small_graphs())
+        n = graph.num_nodes
+        first, first_kwargs = data.draw(
+            st.sampled_from(
+                [
+                    ("normalized_adjacency", {"make_undirected": False, "add_self_loop": False}),
+                    ("random_walk", {"add_self_loop": False}),
+                    ("normalized_adjacency", {"make_undirected": False}),
+                    ("normalized_adjacency", {}),
+                ]
+            )
+        )
+        config = PropagationConfig(
+            num_hops=data.draw(st.integers(0, 3)),
+            operators=(first, "ppr"),
+            operator_kwargs=(first_kwargs, {"num_iterations": data.draw(st.integers(1, 3))}),
+            accumulate_dtype=data.draw(st.sampled_from(["float64", "float32"])),
+        )
+        node_ids = np.array(
+            sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))),
+            dtype=np.int64,
+        )
+        node = st.integers(0, n - 1)
+        targets = np.array(
+            data.draw(
+                st.one_of(
+                    st.just([]),
+                    node.map(lambda v: [v]),
+                    st.just(list(range(n))),
+                    st.lists(node, max_size=2 * n),
+                )
+            ),
+            dtype=np.int64,
+        )
+        features = np.random.default_rng(n).standard_normal((n, 3)).astype(np.float32)
+        patch_nodes, patch_rows, patches = compute_patches(
+            graph, features, config, node_ids, targets
+        )
+        assert np.array_equal(patch_nodes, np.intersect1d(targets, node_ids))
+        assert np.array_equal(node_ids[patch_rows], patch_nodes)
+        full = from_scratch(graph, features, config, node_ids)
+        assert len(patches) == config.num_matrices
+        for m, patch in enumerate(patches):
+            assert patch.dtype == np.float32
+            assert patch.tobytes() == np.ascontiguousarray(full[m][patch_rows]).tobytes()
+
+    def test_compute_patches_rejects_out_of_range_targets(self, tiny_graph):
+        """A negative id would otherwise wrap around and patch a real row."""
+        features = np.ones((tiny_graph.num_nodes, 2), dtype=np.float32)
+        node_ids = np.arange(tiny_graph.num_nodes, dtype=np.int64)
+        for bad in ([-1], [0, tiny_graph.num_nodes], [3, -8]):
+            with pytest.raises(ValueError, match="out of range"):
+                compute_patches(
+                    tiny_graph, features, PropagationConfig(num_hops=2), node_ids, np.array(bad)
+                )
+
+    def test_chained_update_builds_operator_rows_once(self, tmp_path, monkeypatch):
+        """Each ``compute_patches`` call of an update (patch, then verify)
+        builds every kernel's operator rows once, for its widest dependency
+        cone, and the update path never transposes a graph."""
+        from repro.updates import apply as apply_module
+
+        graph = scenario_graph()
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((400, 6)).astype(np.float32)
+        node_ids = np.unique(rng.integers(0, 400, 200))
+        config = PropagationConfig(
+            num_hops=3,
+            operators=("normalized_adjacency", "ppr"),
+            operator_kwargs=({}, {"num_iterations": 2}),
+        )
+        propagate_blocked(
+            graph, features, config, node_ids=node_ids,
+            root=tmp_path / "store", block_size=100,
+        )
+        first = apply_update(
+            tmp_path / "store", graph, features, scenario_delta(graph, seed=50), config
+        )
+        patch_calls, row_builds, reversals = [], [], []
+        real_patches, real_rows, real_reverse = (
+            apply_module.compute_patches, PartialOperator.rows, CSRGraph.reverse
+        )
+        monkeypatch.setattr(
+            apply_module,
+            "compute_patches",
+            lambda *args, **kwargs: (patch_calls.append(1), real_patches(*args, **kwargs))[1],
+        )
+        monkeypatch.setattr(
+            PartialOperator,
+            "rows",
+            lambda self, rows: (row_builds.append(self.name), real_rows(self, rows))[1],
+        )
+        monkeypatch.setattr(
+            CSRGraph, "reverse", lambda self: (reversals.append(1), real_reverse(self))[1]
+        )
+        second = apply_update(
+            tmp_path / "store",
+            first.new_graph,
+            first.new_features,
+            scenario_delta(first.new_graph, seed=51),
+            config,
+        )
+        assert second.status == "applied" and second.version == "v0002"
+        assert len(patch_calls) == 2
+        assert sorted(row_builds) == ["normalized_adjacency", "normalized_adjacency", "ppr", "ppr"]
+        assert reversals == []
 
 
 # --------------------------------------------------------------------------- #
