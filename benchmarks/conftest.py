@@ -6,7 +6,6 @@ and asserts the qualitative *shape* the paper reports (orderings, approximate
 ratios, crossovers).  Run with ``pytest benchmarks/ --benchmark-only``.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -18,25 +17,3 @@ if str(SRC) not in sys.path:
 def run_once(benchmark, fn, **kwargs):
     """Execute ``fn(**kwargs)`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
-
-
-def merge_report(path: Path, report: dict) -> dict:
-    """Write ``report`` to ``path``, preserving result rows it did not measure.
-
-    The committed ``BENCH_*.json`` files are regression baselines shared by
-    several benchmarks; a run that re-measured only some ``results`` rows must
-    not re-roll the committed numbers of the rest.  Rows (and top-level keys)
-    present in ``report`` overwrite the committed ones; everything else is
-    carried over unchanged.  Returns the merged report that was written.
-    """
-    merged = dict(report)
-    try:
-        previous = json.loads(Path(path).read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        previous = None
-    if isinstance(previous, dict):
-        results = dict(previous.get("results", {}))
-        results.update(report.get("results", {}))
-        merged = {**previous, **report, "results": results}
-    Path(path).write_text(json.dumps(merged, indent=2) + "\n")
-    return merged

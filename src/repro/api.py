@@ -18,16 +18,12 @@ every resource the session opens is closed on exit, in reverse order.
         history = trainer.fit()
         engine = session.serve(ServingConfig(cache_policy="lru"))
         predictions = engine.predict([0, 17, 42])
-
-The old entry points keep working; :func:`build_loader` here is a thin
-deprecation shim over :func:`repro.dataloading.loaders.build_loader`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -69,7 +65,6 @@ __all__ = [
     "UpdateInProgress",
     "UpdateResult",
     "open_dataset",
-    "build_loader",
 ]
 
 
@@ -428,18 +423,3 @@ class Session:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def build_loader(*args, **kwargs):
-    """Deprecated shim: use :class:`LoaderConfig` (or ``Session.loader``).
-
-    Forwards to :func:`repro.dataloading.loaders.build_loader` unchanged so
-    existing call sites keep working while they migrate.
-    """
-    warnings.warn(
-        "repro.api.build_loader is deprecated; use repro.api.LoaderConfig(...).build(...) "
-        "or Session.loader() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _loaders.build_loader(*args, **kwargs)

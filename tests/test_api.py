@@ -1,4 +1,4 @@
-"""The `repro.api` facade: Session lifecycle, configs, deprecation shims."""
+"""The `repro.api` facade: Session lifecycle, configs, manual-close paths."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import LoaderConfig, ServingConfig, Session, build_loader, open_dataset
+from repro.api import LoaderConfig, ServingConfig, Session, open_dataset
 from repro.dataloading.loaders import FusedLoader, PPGNNLoader
 from repro.dataloading.workers import MultiProcessLoader
 from repro.serving import ServingEngine
@@ -171,9 +171,3 @@ class TestLifecycleShims:
         engine = ServingEngine(prepared_store.store)
         engine.close()
         engine.close()
-
-    def test_api_build_loader_warns_but_works(self, prepared_store, small_dataset):
-        labels = small_dataset.labels[prepared_store.store.node_ids]
-        with pytest.warns(DeprecationWarning, match="LoaderConfig"):
-            loader = build_loader("fused", prepared_store.store, labels, batch_size=128)
-        assert isinstance(loader, FusedLoader)

@@ -157,6 +157,18 @@ class TestPrefetchLoader:
         prefetched = _materialize_epoch(PrefetchLoader(inner, depth=1))
         _assert_epochs_identical(sync, prefetched)
 
+    @pytest.mark.parametrize("strategy", ["chunk", "storage"])
+    def test_prefetch_with_buffer_reuse_file_backed(self, file_backed, strategy):
+        stores, labels = file_backed
+        sync = _materialize_epoch(
+            build_loader(strategy, stores["hops"], labels, 96, seed=4, packed=False)
+        )
+        inner = build_loader(
+            strategy, stores["packed"], labels, 96, seed=4, packed=True, reuse_buffers=True, num_buffers=3
+        )
+        prefetched = _materialize_epoch(PrefetchLoader(inner, depth=1))
+        _assert_epochs_identical(sync, prefetched)
+
     def test_rejects_undersized_buffer_ring(self, store_and_labels):
         store, labels = store_and_labels
         inner = build_loader(

@@ -1059,11 +1059,11 @@ class TestQueryCleanup:
 # =========================================================================== #
 class TestOverloadEndToEnd:
     def test_overload_with_faults_loses_no_request(self, prepared_store):
-        """The PR's acceptance scenario: concurrent offered load over a small
-        admission bound, one transient gather fault and one dispatcher kill —
-        every submission must resolve to data or a typed error, accepted data
-        must be bit-identical to direct gathers, and the engine must still be
-        serving afterwards."""
+        """Saturated admission, then concurrent offered load over a small
+        admission bound with one transient gather fault and one dispatcher kill:
+        every submission must be shed or resolve to data or a typed serving
+        error, accepted data must be bit-identical to direct gathers, and the
+        engine must still be serving afterwards."""
         store = prepared_store.store
         config = ServingConfig(
             max_pending=32,
@@ -1105,31 +1105,44 @@ class TestOverloadEndToEnd:
                 outcomes["shed"] += shed
                 collected.extend(local)
 
-        with ServingEngine(store, config) as eng, plan.active():
-            threads = [
-                threading.Thread(target=client, args=(tid,)) for tid in range(num_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive(), "client thread hung"
-            for row, future in collected:
-                try:
-                    block = future.result(timeout=30)  # no hang: bounded waits
-                except (ServingError, InjectedFault):
-                    outcomes["typed"] += 1
-                    continue
-                expected = store.gather_packed(np.array([row]))[:, 0, :]
-                assert np.array_equal(block, expected)
-                outcomes["data"] += 1
-            # every offered request is accounted for — none silently lost
-            total = outcomes["shed"] + outcomes["data"] + outcomes["typed"]
-            assert total == num_threads * per_thread
-            assert outcomes["data"] > 0
-            snap = eng.snapshot()
-            assert snap["respawns"] >= 1  # the dispatcher kill was recovered
-            assert snap["shed"] == outcomes["shed"]
-            # and the engine keeps serving after the chaos
-            expected = store.gather_packed(np.array([0]))[:, 0, :]
-            assert np.array_equal(eng.submit(0).result(timeout=10), expected)
+        saturating = 2 * config.max_pending
+        with ServingEngine(store, config) as eng:
+            # saturate admission without a timer: while the dispatcher is held,
+            # every distinct id past max_pending is shed at submit()
+            with held_dispatcher(eng):
+                for row in range(saturating):
+                    try:
+                        collected.append((row, eng.submit(row)))
+                    except OverloadError:
+                        outcomes["shed"] += 1
+                assert outcomes["shed"] == saturating - config.max_pending
+            # settled before the plan is armed, so its kill hits the clients' load
+            futures_wait([future for _, future in collected], timeout=30)
+            with plan.active():
+                threads = [
+                    threading.Thread(target=client, args=(tid,)) for tid in range(num_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive(), "client thread hung"
+                for row, future in collected:
+                    try:
+                        block = future.result(timeout=30)  # no hang: bounded waits
+                    except ServingError:
+                        outcomes["typed"] += 1
+                        continue
+                    expected = store.gather_packed(np.array([row]))[:, 0, :]
+                    assert np.array_equal(block, expected)
+                    outcomes["data"] += 1
+                # every offered request is accounted for — none silently lost
+                total = outcomes["shed"] + outcomes["data"] + outcomes["typed"]
+                assert total == saturating + num_threads * per_thread
+                assert outcomes["data"] > 0
+                snap = eng.snapshot()
+                assert snap["respawns"] >= 1  # the dispatcher kill was recovered
+                assert snap["shed"] == outcomes["shed"]
+                # and the engine keeps serving after the chaos
+                expected = store.gather_packed(np.array([0]))[:, 0, :]
+                assert np.array_equal(eng.submit(0).result(timeout=10), expected)
