@@ -6,7 +6,7 @@ Steps (the same workflow the paper's artifact describes, plus serving):
 2. run the one-time pre-propagation step (Eq. 2 of the paper);
 3. train SIGN and report validation/test accuracy and the convergence point;
 4. stand up the online serving tier and answer node-id queries from the
-   trained model through the coalescing + hot-node-cache path.
+   trained model through the coalescing dispatcher.
 
 Everything runs inside one ``repro.Session``, which owns the lifecycle of
 every stage — no manual ``close()`` anywhere.
@@ -52,11 +52,9 @@ def main() -> None:
             f"(data loading {sum(r.data_loading_seconds for r in history.records):.1f}s)"
         )
 
-        # 4) Serve: node-id queries answered through request coalescing and the
-        #    hot-node hop cache, bit-identical to direct store gathers.
-        engine = session.serve(
-            ServingConfig(cache_policy="lru", cache_capacity=1024), model=trainer.model
-        )
+        # 4) Serve: node-id queries coalesced into one gather per dispatch from
+        #    the in-RAM store, bit-identical to direct store gathers.
+        engine = session.serve(ServingConfig(max_pending=1024), model=trainer.model)
         test_rows = np.arange(16)
         predictions = engine.predict(test_rows)
         print(f"served predictions for rows {test_rows[:5].tolist()}...: {predictions[:5].tolist()}")

@@ -16,7 +16,7 @@ every resource the session opens is closed on exit, in reverse order.
         session.preprocess(num_hops=3)
         trainer = session.trainer("sign", num_epochs=30)
         history = trainer.fit()
-        engine = session.serve(ServingConfig(cache_policy="lru"))
+        engine = session.serve(ServingConfig(max_pending=1024), model=trainer.model)
         predictions = engine.predict([0, 17, 42])
 """
 
@@ -270,7 +270,6 @@ class Session:
         config: Optional[ServingConfig] = None,
         *,
         model: Optional[PPGNNModel] = None,
-        host=None,
     ) -> ServingEngine:
         """Start a :class:`ServingEngine` over this session's store.
 
@@ -283,7 +282,6 @@ class Session:
             config,
             graph=self.dataset.graph,
             model=model,
-            host=host,
             store_version=self._store_version,
         )
         self._resources.append(engine)
@@ -308,8 +306,8 @@ class Session:
         non-durable variant.  Either way the session's graph, features and
         store are rebound to the updated snapshot, and every serving engine
         the session started is swapped onto the new version atomically —
-        requests in flight finish against their pinned version, and only the
-        cache rows the update patched are invalidated.
+        requests in flight finish against their pinned version, and every
+        gather after the swap reads the new version.
 
         An engine whose swap fails keeps serving the previous version
         bit-identically; the failure is recorded in ``result.engine_errors``
@@ -366,11 +364,7 @@ class Session:
                 for engine in [r for r in self._resources if isinstance(r, ServingEngine)]:
                     engine.begin_update(result.version)
                     try:
-                        engine.adopt_store(
-                            result.store,
-                            version=result.version,
-                            invalidate_rows=result.patch_rows,
-                        )
+                        engine.adopt_store(result.store, version=result.version)
                     except Exception as exc:  # engine keeps serving the old version
                         result.engine_errors.append(f"{type(exc).__name__}: {exc}")
             self._last_update = {

@@ -7,8 +7,10 @@ compute.  :class:`MultiProcessLoader` removes that ceiling: each epoch's
 across ``num_workers`` OS processes (worker ``w`` assembles batches
 ``w, w + K, w + 2K, ...``), which gather rows from the shared packed block
 (see :mod:`repro.dataloading.shm`) straight into a ring of shared-memory batch
-slots.  Only *slot indices* travel back over the result queue — feature
-arrays are never pickled in either direction.
+slots.  Only *slot indices* travel back, each worker over its own result
+queue — feature arrays are never pickled in either direction, and no queue's
+write lock is shared between workers, so a worker killed mid-send cannot
+wedge the others.
 
 Guarantees:
 
@@ -32,8 +34,8 @@ Guarantees:
   carrying its exit code and last-heartbeat age.  With a policy, crashed
   *and stalled* workers (heartbeat-dead past the policy's deadlines) are
   SIGKILLed and respawned with exponential backoff; the replacement is
-  handed the dead worker's unfinished shard on fresh queues, and
-  generation-tagged results keep slots consistent across the swap.  Once
+  handed the dead worker's unfinished shard on fresh task, free and result
+  queues, so nothing the dead incarnation sent is ever read.  Once
   the respawn budget is exhausted the loader degrades gracefully: the
   parent assembles the failed worker's batches in-process from the same
   shared store — the epoch still completes, bit-identically, just slower.
@@ -44,12 +46,13 @@ Deadlock-freedom sketch: worker ``w`` owns ``keep + 1`` private slots, so the
 consumer's valid-window can pin at most ``keep`` of them while one remains
 for the batch being assembled; because each worker completes its shard in
 order and the consumer yields in global order, the batch the consumer waits
-for is always the owning worker's next completion.  Recovery preserves the
-invariant: a replacement inherits exactly its predecessor's slot range
-(minus slots the consumer still pins, which flow back through the usual
-release path), its predecessor's stale results are dropped *without*
-releasing their reclaimed slots, and a degraded worker's batches bypass the
-ring entirely.
+for is always the owning worker's next completion — the next message on that
+worker's result queue, which is the only queue the consumer reads while it
+waits.  Recovery preserves the invariant: a replacement inherits exactly its
+predecessor's slot range (minus slots the consumer still pins, which flow
+back through the usual release path), its predecessor's unread results are
+discarded with its queue *without* releasing their reclaimed slots, and a
+degraded worker's batches bypass the ring entirely.
 """
 
 from __future__ import annotations
@@ -138,18 +141,7 @@ def _worker_main(
                 store.gather_into(rows, slots[slot_id, :, : rows.size])
                 elapsed = time.perf_counter() - began
                 heartbeats[worker_id] = time.monotonic()
-                result_queue.put(
-                    (
-                        _BATCH,
-                        worker_id,
-                        generation,
-                        epoch_id,
-                        batch_index,
-                        slot_id,
-                        rows.size,
-                        elapsed,
-                    )
-                )
+                result_queue.put((_BATCH, epoch_id, batch_index, slot_id, rows.size, elapsed))
     except BaseException:
         try:
             result_queue.put((_ERROR, worker_id, traceback.format_exc()))
@@ -159,6 +151,14 @@ def _worker_main(
         store.close()
         del slots
         slot_attachment.close()
+
+
+def _worker_error(message) -> RuntimeError:
+    """The consumer-side error for a worker's ``_ERROR`` message."""
+    _, worker_id, worker_traceback = message
+    return RuntimeError(
+        f"loader worker {worker_id} raised during batch assembly:\n{worker_traceback}"
+    )
 
 
 def _teardown(stop_event, parent_queues, processes, shared_store, slot_ring) -> None:
@@ -290,9 +290,9 @@ class MultiProcessLoader:
             dtype=store.dtype,
         )
         self._stop = ctx.Event()
-        self._result_queue = ctx.Queue()
         self._task_queues = [ctx.Queue() for _ in range(num_workers)]
         self._free_queues = [ctx.Queue() for _ in range(num_workers)]
+        self._result_queues = [ctx.Queue() for _ in range(num_workers)]
         #: last time.monotonic() each worker proved liveness (shared doubles)
         self._heartbeats = ctx.Array("d", num_workers, lock=False)
         now = time.monotonic()
@@ -309,7 +309,7 @@ class MultiProcessLoader:
             self,
             _teardown,
             self._stop,
-            (self._task_queues, self._free_queues, [self._result_queue]),
+            (self._task_queues, self._free_queues, self._result_queues),
             self._processes,
             self._shared_store,
             self._slot_ring,
@@ -323,7 +323,7 @@ class MultiProcessLoader:
                 self._shared_store.handle,
                 self._slot_ring.handle,
                 self._task_queues[worker_id],
-                self._result_queue,
+                self._result_queues[worker_id],
                 self._free_queues[worker_id],
                 self._stop,
                 self._heartbeats,
@@ -381,12 +381,29 @@ class MultiProcessLoader:
     def _heartbeat_age(self, worker_id: int) -> float:
         return time.monotonic() - self._heartbeats[worker_id]
 
+    def _raise_if_raised(self, worker_id: int) -> None:
+        """Surface the traceback a dead worker queued before exiting, if any.
+
+        It may sit behind results the consumer has not reached yet; those die
+        with the worker's queue.  A batch result is one pipe write shorter
+        than ``PIPE_BUF`` and a traceback's sender exits normally, so a killed
+        writer never leaves a torn message to block on.
+        """
+        while True:
+            try:
+                message = self._result_queues[worker_id].get_nowait()
+            except queue.Empty:
+                return
+            if message[0] == _ERROR:
+                raise _worker_error(message)
+
     def _check_workers(self) -> None:
         """Fail-fast posture: a dead worker is a loud, diagnosable error."""
         for worker_id, process in enumerate(self._processes):
             if worker_id in self._degraded:
                 continue
             if not process.is_alive():
+                self._raise_if_raised(worker_id)
                 raise RuntimeError(
                     f"loader worker {process.name} died with exit code {process.exitcode} "
                     f"mid-epoch (last heartbeat {self._heartbeat_age(worker_id):.1f}s ago); "
@@ -408,13 +425,8 @@ class MultiProcessLoader:
                 failed.append((worker_id, "stall"))
         return failed
 
-    def _recover_worker(self, worker_id: int, reason: str, epoch_id, shards, done, pinned):
-        """SIGKILL + respawn the worker (or retire it once the budget is spent).
-
-        Returns the messages drained off the result queue during the swap —
-        the caller re-processes them (survivors' results are still valid;
-        the dead incarnation's are dropped by the generation check).
-        """
+    def _recover_worker(self, worker_id: int, reason: str, epoch_id, shards, done, pinned) -> None:
+        """SIGKILL + respawn the worker (or retire it once the budget is spent)."""
         process = self._processes[worker_id]
         if reason == "stall":
             self.counters.worker_stalls += 1
@@ -429,19 +441,20 @@ class MultiProcessLoader:
                 except ProcessLookupError:  # pragma: no cover - exited just now
                     pass
         else:
+            self._raise_if_raised(worker_id)  # an assembly bug, not a crash to heal
             self.counters.worker_crashes += 1
             logger.warning(
                 "loader worker %s died with exit code %s", process.name, process.exitcode
             )
         process.join(timeout=5.0)
-        # messages already queued stay valid for survivors; the failed
-        # incarnation's are invalidated below by its generation bump
-        leftovers = []
-        while True:
-            try:
-                leftovers.append(self._result_queue.get_nowait())
-            except queue.Empty:
-                break
+        self._generations[worker_id] += 1
+        # fresh queues: anything in the old ones (an unconsumed task, slot
+        # returns, unread results, a write lock the dead process still holds)
+        # belongs to the dead incarnation and is never read
+        for queues in (self._task_queues, self._free_queues, self._result_queues):
+            queues[worker_id].cancel_join_thread()
+            queues[worker_id].close()
+            queues[worker_id] = self._ctx.Queue()
         if self.counters.respawns >= self.policy.max_respawns:
             logger.warning(
                 "respawn budget (%d) spent; degrading worker %d to in-process assembly",
@@ -449,22 +462,12 @@ class MultiProcessLoader:
                 worker_id,
             )
             self._degraded.add(worker_id)
-            self._generations[worker_id] += 1
-            return leftovers
+            return
         self.counters.respawns += 1
         backoff = self.policy.backoff_for(self.counters.respawns)
         if backoff > 0:
             time.sleep(backoff)
-        self._generations[worker_id] += 1
         generation = self._generations[worker_id]
-        # fresh queues for the replacement: anything in the old ones (an
-        # unconsumed task, in-flight slot returns) belongs to the dead
-        # incarnation and must not leak into the new one
-        for old in (self._task_queues[worker_id], self._free_queues[worker_id]):
-            old.cancel_join_thread()
-            old.close()
-        self._task_queues[worker_id] = self._ctx.Queue()
-        self._free_queues[worker_id] = self._ctx.Queue()
         # the replacement inherits its predecessor's slot range, except slots
         # the consumer still pins (those flow back through _release later)
         base = worker_id * self._slots_per_worker
@@ -487,7 +490,6 @@ class MultiProcessLoader:
             generation,
             len(remaining),
         )
-        return leftovers
 
     def _assemble_inline(self, rows: np.ndarray) -> PPGNNBatch:
         """Degraded-mode assembly in the parent: same gather, same bytes."""
@@ -509,13 +511,14 @@ class MultiProcessLoader:
 
     def _drain_stale(self) -> None:
         """Recycle slots of results left over from an abandoned epoch."""
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue.Empty:
-                return
-            if message[0] == _BATCH and message[2] == self._generations[message[1]]:
-                self._release(message[5])
+        for result_queue in self._result_queues:
+            while True:
+                try:
+                    message = result_queue.get_nowait()
+                except queue.Empty:
+                    break
+                if message[0] == _BATCH:
+                    self._release(message[3])
 
     def epoch(self) -> Iterator[PPGNNBatch]:
         """Yield one epoch of batches, assembled by the worker pool in order."""
@@ -542,16 +545,8 @@ class MultiProcessLoader:
 
         def handle(message) -> None:
             if message[0] == _ERROR:
-                _, worker_id, worker_traceback = message
-                raise RuntimeError(
-                    f"loader worker {worker_id} raised during batch assembly:\n"
-                    f"{worker_traceback}"
-                )
-            _, worker_id, generation, result_epoch, batch_index, slot_id, num_rows, elapsed = (
-                message
-            )
-            if generation != self._generations[worker_id]:
-                return  # dead incarnation: its slot was reclaimed at respawn
+                raise _worker_error(message)
+            _, result_epoch, batch_index, slot_id, num_rows, elapsed = message
             if result_epoch != epoch_id:  # abandoned-epoch leftover
                 self._release(slot_id)
                 return
@@ -569,7 +564,9 @@ class MultiProcessLoader:
                     if owner in self._degraded:
                         break  # assembled inline below
                     try:
-                        message = self._result_queue.get(timeout=_POLL_SECONDS)
+                        # the owner's queue only: its batches arrive in shard order,
+                        # and recovery may have swapped the queue since the last poll
+                        message = self._result_queues[owner].get(timeout=_POLL_SECONDS)
                     except queue.Empty:
                         if self.policy is None:
                             self._check_workers()
@@ -577,10 +574,9 @@ class MultiProcessLoader:
                             waited = time.perf_counter() - began
                             for worker_id, reason in self._failed_workers(waited):
                                 pinned = {slot for slot, _ in pending.values()} | set(holds)
-                                for leftover in self._recover_worker(
+                                self._recover_worker(
                                     worker_id, reason, epoch_id, shards, done, pinned
-                                ):
-                                    handle(leftover)
+                                )
                         if time.monotonic() >= deadline:
                             raise RuntimeError(
                                 f"timed out after {self.timeout_seconds}s waiting for a "

@@ -55,16 +55,6 @@ class MemoryDevice:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         return max(0, int(self.free * fraction))
 
-    def fit_count(self, item_bytes: int, fraction: float = 1.0) -> int:
-        """How many ``item_bytes``-sized items fit in the current headroom.
-
-        Capacity sizing for slab-shaped consumers — e.g. the serving tier's
-        hot-node cache, whose entry count is ``headroom // entry_bytes``.
-        """
-        if item_bytes <= 0:
-            raise ValueError("item_bytes must be positive")
-        return self.headroom(fraction) // item_bytes
-
     def allocate(self, name: str, num_bytes: int) -> None:
         """Reserve ``num_bytes`` under ``name`` (idempotent per name)."""
         if num_bytes < 0:

@@ -76,8 +76,7 @@ KNOWN_SITES = (
     "blocked.phase.complete",    # parent-side, after journaling a phase
     "blocked.scratch.write",     # before a scratch/store block write
     "shm.unlink",                # before unlinking a shared-memory segment
-    "serve.gather",              # serving engine, before a cache-miss store gather
-    "serve.cache",               # serving engine, per-batch cache lookup ("leak" = bypass)
+    "serve.gather",              # serving engine, before every store gather
     "serve.dispatch",            # dispatcher loop, after claiming a batch
     "serve.drain",               # dispatcher loop, on a batch claimed during close(drain=True)
     "update.apply",              # incremental update, before a store clone / patch write

@@ -4,18 +4,14 @@ See :class:`~repro.serving.engine.ServingEngine` for the entry point; the
 :mod:`repro.api` facade constructs one via ``Session.serve()``.
 """
 
-from repro.serving.cache import CACHE_POLICIES, CacheStats, HopCache
 from repro.serving.config import SHED_POLICIES, ServingConfig
 from repro.serving.depth import NodeAdaptiveDepth
 from repro.serving.engine import ServingEngine, ServingStats
 from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError, ServingError
 
 __all__ = [
-    "CACHE_POLICIES",
-    "CacheStats",
     "DeadlineExceeded",
     "DispatcherFailed",
-    "HopCache",
     "NodeAdaptiveDepth",
     "OverloadError",
     "SHED_POLICIES",

@@ -1,10 +1,10 @@
 """Configuration for the online serving tier.
 
-One dataclass owns every serving knob — cache policy/budget, node-adaptive
-depth, and the overload/resilience posture (admission control, deadlines, gather retries, dispatcher watchdog,
-drain budget) — so the engine constructor does not sprawl into kwargs and
-the :mod:`repro.api` facade can hand the same object from session to engine
-unchanged.
+One dataclass owns every serving knob — node-adaptive depth and the
+overload/resilience posture (admission control, deadlines, gather retries,
+dispatcher watchdog, drain budget) — so the engine constructor does not
+sprawl into kwargs and the :mod:`repro.api` facade can hand the same object
+from session to engine unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.resilience.supervisor import SupervisorPolicy
-from repro.serving.cache import CACHE_POLICIES
 
 __all__ = ["ServingConfig", "SHED_POLICIES"]
 
@@ -31,17 +30,15 @@ class ServingConfig:
         one fused gather; duplicate ids waiting together and ids already in
         flight are served from a single gather.
 
-    Hot-node cache
-        ``cache_policy`` is ``"lru"``, ``"clock"`` or ``"none"``.  Capacity is
-        resolved in this order: explicit ``cache_capacity`` entries, else
-        ``cache_bytes // entry_bytes``, else ``cache_fraction`` of the host
-        device's headroom (when the engine is given one), else
-        ``DEFAULT_CACHE_CAPACITY`` — always clamped to the store's row count.
+    Gather
+        Has no knob either: every answer is one gather from the packed store,
+        which is already in RAM.  ``cache_policy`` and ``cache_capacity`` are
+        ignored; removed with ``bench/``'s serving config in the follow-up.
 
     Node-adaptive depth
-        ``adaptive_depth=True`` truncates cache-miss gathers per node: rows
-        whose degree falls in higher ``depth_quantiles`` bands are served with
-        fewer hops, down to ``min_depth`` (arXiv:2310.10998).
+        ``adaptive_depth=True`` truncates gathers per node: rows whose degree
+        falls in higher ``depth_quantiles`` bands are served with fewer hops,
+        down to ``min_depth`` (arXiv:2310.10998).
 
     Admission control
         At most ``max_pending`` *distinct* node ids may sit in the pending
@@ -70,12 +67,10 @@ class ServingConfig:
         queue within ``drain_timeout_seconds`` before tearing down.
     """
 
-    DEFAULT_CACHE_CAPACITY = 4096
-
-    cache_policy: str = "lru"
+    #: ignored; removed with ``bench/``'s serving config in the follow-up
+    cache_policy: str = "none"
+    #: ignored; removed with ``bench/``'s serving config in the follow-up
     cache_capacity: Optional[int] = None
-    cache_bytes: Optional[int] = None
-    cache_fraction: float = 0.05
     adaptive_depth: bool = False
     min_depth: int = 1
     depth_quantiles: Tuple[float, ...] = (0.5, 0.9)
@@ -99,15 +94,6 @@ class ServingConfig:
     drain_timeout_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        allowed = CACHE_POLICIES + ("none",)
-        if self.cache_policy not in allowed:
-            raise ValueError(f"cache_policy must be one of {allowed}, got {self.cache_policy!r}")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1 when given")
-        if self.cache_bytes is not None and self.cache_bytes < 1:
-            raise ValueError("cache_bytes must be >= 1 when given")
-        if not 0.0 < self.cache_fraction <= 1.0:
-            raise ValueError("cache_fraction must be in (0, 1]")
         if self.min_depth < 0:
             raise ValueError("min_depth must be non-negative")
         if self.latency_window < 1:
@@ -128,22 +114,6 @@ class ServingConfig:
             raise ValueError("watchdog_interval_seconds must be positive")
         if self.drain_timeout_seconds <= 0:
             raise ValueError("drain_timeout_seconds must be positive")
-
-    def resolve_cache_capacity(self, entry_bytes: int, host=None) -> int:
-        """Entries the hot-node cache may hold, given one entry's byte size.
-
-        ``host`` is an optional :class:`~repro.hardware.memory.MemoryDevice`
-        whose headroom bounds the budget when no explicit capacity is set.
-        """
-        if self.cache_policy == "none":
-            return 0
-        if self.cache_capacity is not None:
-            return self.cache_capacity
-        if self.cache_bytes is not None:
-            return max(1, self.cache_bytes // entry_bytes)
-        if host is not None:
-            return max(1, host.fit_count(entry_bytes, self.cache_fraction))
-        return self.DEFAULT_CACHE_CAPACITY
 
     def resolve_supervisor(self) -> SupervisorPolicy:
         """The watchdog's policy: the explicit one, or serving-tuned defaults.

@@ -14,8 +14,8 @@ Truncation is value-level, not shape-level: a node served at depth ``d``
 still yields the full ``(M, F)`` block, but every hop index ``r > d`` within
 each kernel repeats the hop-``d`` values.  That keeps the serving output
 shape-compatible with the packed store and — because the depth assignment is
-a pure function of the store rows, computed once — makes the cached,
-coalesced, and direct paths bit-identical by construction.
+a pure function of the store rows, computed once — makes the coalesced and
+direct paths bit-identical by construction.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The paper's bargain is that all graph aggregation happens offline, so the
 online path is a pure feature gather.  :class:`ServingEngine` is that online
 path: it attaches to the packed ``(M, N, F)`` store through the same
 shared-memory/memmap transports multi-process training uses
-(:mod:`repro.dataloading.shm`), accepts node-id queries, and answers through
-three layered optimizations:
+(:mod:`repro.dataloading.shm`), accepts node-id queries, and answers each
+batch of them with one ``gather_into`` from the attached store.  The store is
+already in RAM, so nothing sits in front of that gather; two things shape it:
 
 * **Request coalescing** — the dispatcher is work-conserving: the moment it
   is free it claims everything pending, so the coalescing window is the
@@ -13,17 +14,13 @@ three layered optimizations:
   one grows its batches by itself); duplicate ids waiting together collapse
   to one entry, and a query for an id already being gathered joins that
   in-flight batch instead of issuing another.
-* **Hot-node hop cache** — skewed (Zipfian) real traffic concentrates on a
-  small working set, so an LRU/clock cache of assembled per-node blocks
-  (:class:`~repro.serving.cache.HopCache`, sized from host-memory headroom)
-  turns the common case into a single ``(M, F)`` copy.
-* **Node-adaptive depth** — cache misses optionally gather only the hops a
-  node needs (:class:`~repro.serving.depth.NodeAdaptiveDepth`), repeating the
+* **Node-adaptive depth** — gathers optionally read only the hops a node
+  needs (:class:`~repro.serving.depth.NodeAdaptiveDepth`), repeating the
   deepest kept hop so output shapes never change.
 
-All three paths — direct, cached, coalesced — return bit-identical blocks:
-the cache stores post-truncation values and depth assignment is a pure
-per-row function, so correctness tests can compare them byte for byte.
+Both paths — direct and coalesced — return bit-identical blocks: depth
+assignment is a pure per-row function, so correctness tests can compare them
+byte for byte.
 
 On top of the fast path sits the **overload/resilience layer**:
 
@@ -46,8 +43,8 @@ On top of the fast path sits the **overload/resilience layer**:
 
 For zero-downtime incremental updates (:mod:`repro.updates`), the engine pins
 every dispatch batch to one store version: :meth:`adopt_store` attaches the
-new version's segment off-lock, then swaps it in under the gather lock and
-invalidates only the cache rows the update patched.  If the swap fails, the
+new version's segment off-lock, then swaps it in under the gather lock, so
+the next gather reads the new version's bytes.  If the swap fails, the
 engine keeps serving the old version bit-identically ("stale, never torn")
 and reports it via :meth:`health`.
 """
@@ -58,7 +55,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +63,6 @@ import numpy as np
 from repro.dataloading.shm import SharedPackedStore, attach_store
 from repro.prepropagation.store import FeatureStore
 from repro.resilience.faultinject import fault_point
-from repro.serving.cache import HopCache
 from repro.serving.config import ServingConfig
 from repro.serving.depth import NodeAdaptiveDepth
 from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError
@@ -102,10 +98,9 @@ class ServingStats:
     dispatcher_stalls: int = 0
     #: requests answered synchronously after degradation to inline gathers
     inline_gathers: int = 0
-    cache: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
-        out = {
+        return {
             "requests": self.requests,
             "batches": self.batches,
             "coalesced_window": self.coalesced_window,
@@ -119,9 +114,6 @@ class ServingStats:
             "dispatcher_stalls": self.dispatcher_stalls,
             "inline_gathers": self.inline_gathers,
         }
-        if self.cache:
-            out["cache"] = dict(self.cache)
-        return out
 
 
 #: one waiter on a node id: (future, enqueue time, absolute deadline or ``_NEVER``)
@@ -163,9 +155,6 @@ class ServingEngine:
         from it.
     model:
         Optional PP-GNN model enabling :meth:`predict`.
-    host:
-        Optional :class:`~repro.hardware.memory.MemoryDevice` whose headroom
-        sizes the cache when the config gives no explicit budget.
     store_version:
         Name of the store version being served (``"base"`` or ``"vNNNN"``
         from a :class:`~repro.updates.versions.VersionedStore`).  Purely
@@ -179,7 +168,6 @@ class ServingEngine:
         *,
         graph=None,
         model=None,
-        host=None,
         store_version: str = "base",
     ) -> None:
         self.store = store
@@ -215,21 +203,9 @@ class ServingEngine:
                 quantiles=self.config.depth_quantiles,
             )
 
-        entry_bytes = self.num_matrices * self.feature_dim * self.dtype.itemsize
-        capacity = min(self.config.resolve_cache_capacity(entry_bytes, host), self.num_rows)
-        self._cache: Optional[HopCache] = None
-        if capacity > 0 and self.config.cache_policy != "none":
-            self._cache = HopCache(
-                capacity,
-                self.num_matrices,
-                self.feature_dim,
-                self.dtype,
-                policy=self.config.cache_policy,
-            )
-
         self.stats = ServingStats()
         self._policy = self.config.resolve_supervisor()
-        #: serializes every store gather and cache access
+        #: serializes every store gather against a version swap
         self._gather_lock = threading.Lock()
         self._cond = threading.Condition()
         self._pending: "OrderedDict[int, _Entry]" = OrderedDict()
@@ -250,11 +226,8 @@ class ServingEngine:
             )
             self._watchdog.start()
         logger.debug(
-            "serving engine up: %d rows, cache=%s(%d), adaptive_depth=%s, "
-            "max_pending=%s, watchdog=%s",
+            "serving engine up: %d rows, adaptive_depth=%s, max_pending=%s, watchdog=%s",
             self.num_rows,
-            self.config.cache_policy,
-            capacity,
             self._depth is not None,
             self.config.max_pending,
             self.config.watchdog,
@@ -263,11 +236,13 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # synchronous paths
     # ------------------------------------------------------------------ #
-    def gather_direct(self, rows: Sequence[int]) -> np.ndarray:
-        """Reference path: fused gather, no cache, no coalescing.
+    def fetch(self, rows: Sequence[int]) -> np.ndarray:
+        """Synchronous gather, no coalescing: one fused gather from the store.
 
-        Returns the ``(M, B, F)`` block (depth-truncated when adaptive depth
-        is on) — the ground truth the cached and coalesced paths must match.
+        The lowest-latency path for a caller already holding a batch of ids,
+        and the one every dispatch and inline answer takes.  Returns the
+        ``(M, B, F)`` block in request order (depth-truncated when adaptive
+        depth is on); a duplicate id is simply gathered again.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         out = np.empty((self.num_matrices, rows.size, self.feature_dim), dtype=self.dtype)
@@ -275,20 +250,8 @@ class ServingEngine:
             self._gather_rows(rows, out)
         return out
 
-    def fetch(self, rows: Sequence[int]) -> np.ndarray:
-        """Synchronous cache-aware gather (no coalescing).
-
-        The lowest-latency path for a caller already holding a batch of ids:
-        hits copy from the hot-node cache, misses run one fused gather and
-        populate it.  Returns ``(M, B, F)`` in request order.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        unique, inverse = np.unique(rows, return_inverse=True)
-        with self._gather_lock:
-            blocks = self._assemble(unique)
-        if unique.size == rows.size and np.array_equal(unique, rows):
-            return blocks
-        return np.take(blocks, inverse, axis=1)
+    #: the reference the coalesced path must match — the same gather as :meth:`fetch`
+    gather_direct = fetch
 
     def predict(self, rows: Sequence[int]) -> np.ndarray:
         """Class predictions for ``rows`` via the attached PP-GNN model."""
@@ -367,7 +330,7 @@ class ServingEngine:
                 self._ensure_open()
         if inline:
             # degraded mode: the dispatcher is gone for good — answer
-            # synchronously through the same cache-aware path (bit-identical)
+            # synchronously through the same gather (bit-identical)
             block = np.ascontiguousarray(self.fetch([row])[:, 0, :])
             self.stats.inline_gathers += 1
             with self._cond:
@@ -529,8 +492,7 @@ class ServingEngine:
         attempt = 0
         while True:
             try:
-                with self._gather_lock:
-                    blocks = self._assemble(rows)
+                blocks = self.fetch(rows)
                 break
             except Exception as exc:
                 if attempt >= cfg.gather_retries:
@@ -661,7 +623,7 @@ class ServingEngine:
                 self._resolve(future, block)
 
     def _gather_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out`` with the store blocks for ``rows`` (cache-miss path)."""
+        """Fill ``out`` with the store blocks for ``rows``; caller holds ``_gather_lock``."""
         fault_point("serve.gather", num_rows=int(rows.size))
         depth = self._depth
         if depth is None or depth.is_trivial() or rows.size == 0:
@@ -691,36 +653,6 @@ class ServingEngine:
             out[:count, positions, :] = partial
             # hops beyond the node's depth repeat its deepest gathered hop
             out[count:, positions, :] = partial[count - 1]
-
-    def _assemble(self, unique_rows: np.ndarray) -> np.ndarray:
-        """Gather ``(M, U, F)`` for distinct rows through the cache.
-
-        Caller holds ``_gather_lock``.
-        """
-        out = np.empty(
-            (self.num_matrices, unique_rows.size, self.feature_dim), dtype=self.dtype
-        )
-        cache = self._cache
-        if cache is not None:
-            ids = unique_rows.tolist()
-            spec = fault_point("serve.cache", rows=ids)
-            if spec is not None and spec.kind == "leak":
-                cache = None  # injected cache bypass: the whole batch takes the miss path
-        if cache is None:
-            self._gather_rows(unique_rows, out)
-            return out
-        misses = cache.get_many(ids, out)
-        if len(misses) == len(ids):
-            self._gather_rows(unique_rows, out)
-            cache.put_many(ids, out)
-        elif misses:
-            miss_out = np.empty(
-                (self.num_matrices, len(misses), self.feature_dim), dtype=self.dtype
-            )
-            self._gather_rows(unique_rows[misses], miss_out)
-            out[:, misses, :] = miss_out
-            cache.put_many([ids[i] for i in misses], miss_out)
-        return out
 
     # ------------------------------------------------------------------ #
     # zero-downtime store version swap (epoch protection)
@@ -770,13 +702,15 @@ class ServingEngine:
         The new segment is published and attached *before* any lock is taken;
         the swap itself happens under the gather lock, so every dispatch
         batch reads entirely from one version — a batch is pinned to the
-        epoch it started under and no reader ever sees a torn row.
+        epoch it started under and no reader ever sees a torn row.  Every
+        gather after the swap reads the new version, so no row needs
+        invalidating.
 
-        ``invalidate_rows`` (the update's patched rows) drops only the cache
-        entries whose bytes changed; ``None`` clears the whole cache.  On any
-        swap failure the engine keeps serving the old version bit-identically
-        and raises :class:`~repro.updates.errors.UpdateSwapError`; the stale
-        state is surfaced via :meth:`health`.
+        ``invalidate_rows`` is ignored; removed with ``bench/``'s serving
+        config in the follow-up.  On any swap failure the engine keeps
+        serving the old version bit-identically and raises
+        :class:`~repro.updates.errors.UpdateSwapError`; the stale state is
+        surfaced via :meth:`health`.
         """
         version = str(version)
         problem: Optional[str] = None
@@ -824,11 +758,6 @@ class ServingEngine:
             self._shared = new_shared
             self.store = store
             self._attach_epoch = epoch
-            if self._cache is not None:
-                if invalidate_rows is None:
-                    self._cache.clear()
-                else:
-                    self._cache.invalidate(invalidate_rows)
         with self._cond:
             previous = self.store_version
             self.store_version = version
@@ -839,8 +768,8 @@ class ServingEngine:
                 "error": None,
                 "serving_stale": False,
             }
-        # detach the retired epoch last: cache slabs and gather outputs are
-        # copies, so nothing still references the old segment's memory
+        # detach the retired epoch last: gather outputs are copies, so
+        # nothing still references the old segment's memory
         old_attached.close()
         old_shared.close()
         logger.info("serving swapped store version %s -> %s", previous, version)
@@ -849,17 +778,11 @@ class ServingEngine:
     # introspection / lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def cache(self) -> Optional[HopCache]:
-        return self._cache
-
-    @property
     def depth_policy(self) -> Optional[NodeAdaptiveDepth]:
         return self._depth
 
     def snapshot(self) -> dict:
-        """One dict of engine + cache counters (for logs and benchmarks)."""
-        if self._cache is not None:
-            self.stats.cache = self._cache.stats.snapshot()
+        """One dict of engine counters (for logs and benchmarks)."""
         return self.stats.snapshot()
 
     def health(self) -> dict:
@@ -915,7 +838,6 @@ class ServingEngine:
                 "crashes": stats["dispatcher_crashes"],
                 "stalls": stats["dispatcher_stalls"],
             },
-            "cache": stats.get("cache", {}),
         }
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:

@@ -64,7 +64,7 @@ class TestSession:
             assert isinstance(trainer, PPGNNTrainer)
             history = trainer.fit()
             assert len(history.records) == 1
-            engine = session.serve(ServingConfig(cache_capacity=32), model=trainer.model)
+            engine = session.serve(ServingConfig(), model=trainer.model)
             rows = np.array([0, 3, 9])
             reference = session.store.gather_packed(rows)
             assert np.array_equal(engine.fetch(rows), reference)
@@ -103,7 +103,7 @@ class TestSession:
         health = session.health()
         assert health["ready"] and not health["closed"]  # vacuously ready: no engines
         assert health["serving"] == []
-        engine = session.serve(ServingConfig(cache_capacity=32))
+        engine = session.serve(ServingConfig())
         health = session.health()
         assert health["ready"]
         assert len(health["serving"]) == 1
@@ -129,7 +129,7 @@ class TestSession:
     def test_serve_wires_graph_for_adaptive_depth(self, small_dataset):
         with Session(small_dataset) as session:
             session.preprocess(num_hops=2)
-            engine = session.serve(ServingConfig(adaptive_depth=True, cache_policy="none"))
+            engine = session.serve(ServingConfig(adaptive_depth=True))
             assert engine.depth_policy is not None
             rows = np.arange(12)
             reference = session.store.gather_packed(rows).copy()

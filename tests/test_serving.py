@@ -1,15 +1,16 @@
-"""Serving tier: hot-node cache, node-adaptive depth, coalescing, faults.
+"""Serving tier: node-adaptive depth, coalescing, faults.
 
 The load-bearing property throughout is *bit identity*: whatever path a
-query takes — direct gather, cache hit, cache miss, coalesced micro-batch,
-adaptive-depth truncation, injected cache bypass — the returned block must
-equal the reference ``store.gather_packed`` values (post-truncation when
-adaptive depth is on) byte for byte.
+query takes — direct gather, ``fetch``, coalesced micro-batch, inline
+degraded answer, adaptive-depth truncation — the returned block must equal
+the reference ``store.gather_packed`` values (post-truncation when adaptive
+depth is on) byte for byte.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import signal
 import sys
@@ -19,17 +20,13 @@ from concurrent.futures import wait as futures_wait
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.hardware.memory import MemoryDevice
-from repro.hardware.spec import DeviceSpec
 from repro.resilience.faultinject import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.janitor import sweep_orphans
 from repro.resilience.supervisor import SupervisorPolicy
 from repro.serving import (
     DeadlineExceeded,
     DispatcherFailed,
-    HopCache,
     NodeAdaptiveDepth,
     OverloadError,
     ServingConfig,
@@ -48,7 +45,7 @@ def zipfian_rows(num_rows: int, size: int, a: float = 1.1, seed: int = 0) -> np.
 
 @pytest.fixture()
 def engine(prepared_store):
-    with ServingEngine(prepared_store.store, ServingConfig(cache_capacity=128)) as eng:
+    with ServingEngine(prepared_store.store, ServingConfig()) as eng:
         yield eng
 
 
@@ -92,148 +89,6 @@ def close_in_background(eng: ServingEngine, **kwargs) -> threading.Thread:
 def join_closer(closer: threading.Thread) -> None:
     closer.join(timeout=30)
     assert not closer.is_alive(), "close() hung"
-
-
-# =========================================================================== #
-# hot-node cache
-# =========================================================================== #
-class TestHopCache:
-    def make(self, capacity=3, policy="lru"):
-        return HopCache(capacity, num_matrices=2, feature_dim=4, dtype=np.float32, policy=policy)
-
-    def block(self, value):
-        return np.full((2, 4), value, dtype=np.float32)
-
-    def test_round_trip_and_stats(self):
-        cache = self.make()
-        assert cache.get(7) is None
-        cache.put(7, self.block(7))
-        got = cache.get(7)
-        assert np.array_equal(got, self.block(7))
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
-        assert len(cache) == 1 and 7 in cache
-
-    def test_lru_evicts_least_recently_used(self):
-        cache = self.make(capacity=2, policy="lru")
-        cache.put(1, self.block(1))
-        cache.put(2, self.block(2))
-        cache.get(1)  # refresh 1; 2 becomes the LRU victim
-        cache.put(3, self.block(3))
-        assert 1 in cache and 3 in cache and 2 not in cache
-        assert cache.stats.evictions == 1
-
-    def test_put_refresh_updates_value_and_recency(self):
-        cache = self.make(capacity=2, policy="lru")
-        cache.put(1, self.block(1))
-        cache.put(2, self.block(2))
-        cache.put(1, self.block(10))  # refresh: 2 is now oldest
-        cache.put(3, self.block(3))
-        assert 2 not in cache
-        assert np.array_equal(cache.get(1), self.block(10))
-
-    def test_clock_grants_second_chance(self):
-        cache = self.make(capacity=2, policy="clock")
-        cache.put(1, self.block(1))
-        cache.put(2, self.block(2))
-        cache.get(1)
-        cache.get(2)
-        # both referenced: the hand clears slot 0's bit first, then slot 1's,
-        # wraps, and evicts slot 0's occupant (node 1)
-        cache.put(3, self.block(3))
-        assert 3 in cache and len(cache) == 2
-        assert cache.stats.evictions == 1
-        # every resident entry still returns its own values
-        for row in (3, *(r for r in (1, 2) if r in cache)):
-            assert np.array_equal(cache.get(row), self.block(row))
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_fill_beyond_capacity_keeps_len_bounded(self, policy):
-        cache = self.make(capacity=4, policy=policy)
-        for row in range(20):
-            cache.put(row, self.block(row))
-        assert len(cache) == 4
-        assert cache.stats.evictions == 16
-        for row in list(range(20)):
-            got = cache.get(row)
-            if got is not None:
-                assert np.array_equal(got, self.block(row))
-
-    def test_clear_resets_everything(self):
-        cache = self.make()
-        cache.put(1, self.block(1))
-        cache.get(1)
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.lookups == 0
-        assert cache.get(1) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            self.make(capacity=0)
-        with pytest.raises(ValueError, match="policy"):
-            self.make(policy="mru")
-
-    @staticmethod
-    def state(cache):
-        """Everything that decides future hits, victims and returned bytes."""
-        resident = sorted(cache._slot_of.values())
-        return (
-            list(cache._slot_of.items()),  # row -> slot, in LRU order under lru
-            list(cache._node_of),
-            cache._referenced.tolist(),
-            cache._hand,
-            list(cache._free),
-            cache.stats.snapshot(),
-            cache._slab[:, resident, :].tobytes(),
-        )
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        policy=st.sampled_from(["lru", "clock"]),
-        capacity=st.integers(1, 6),
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["get", "put", "invalidate"]),
-                # up to 12 rows against a capacity of at most 6: batches that overflow the cache
-                st.lists(st.integers(0, 11), max_size=12),
-            ),
-            max_size=12,
-        ),
-    )
-    def test_batch_ops_match_per_row_reference(self, policy, capacity, ops):
-        batched = self.make(capacity, policy)
-        reference = self.make(capacity, policy)
-        for step, (op, rows) in enumerate(ops):
-            if op == "get":
-                out = np.full((2, len(rows), 4), -1.0, dtype=np.float32)
-                misses = batched.get_many(rows, out)
-                expected = [reference.get(row) for row in rows]
-                assert misses == [i for i, block in enumerate(expected) if block is None]
-                for i, block in enumerate(expected):
-                    if block is not None:
-                        assert np.array_equal(out[:, i, :], block)
-            elif op == "put":
-                rows = list(dict.fromkeys(rows))  # put_many takes distinct rows
-                blocks = np.empty((2, len(rows), 4), dtype=np.float32)
-                blocks[:] = 100 * step + np.asarray(rows, dtype=np.float32)[None, :, None]
-                batched.put_many(rows, blocks)
-                for i, row in enumerate(rows):
-                    reference.put(row, blocks[:, i, :])
-            else:
-                assert batched.invalidate(rows) == reference.invalidate(rows)
-            assert self.state(batched) == self.state(reference)
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_put_many_longer_than_capacity_keeps_only_its_tail(self, policy):
-        cache = self.make(capacity=3, policy=policy)
-        rows = list(range(8))
-        blocks = np.stack([self.block(row) for row in rows], axis=1)
-        cache.put_many(rows, blocks)
-        assert sorted(cache._slot_of) == [5, 6, 7]  # as with one-by-one puts
-        assert cache.stats.insertions == 8 and cache.stats.evictions == 5
-        out = np.empty((2, 8, 4), dtype=np.float32)
-        assert cache.get_many(rows, out) == [0, 1, 2, 3, 4]
-        assert np.array_equal(out[:, 5:, :], blocks[:, 5:, :])
 
 
 # =========================================================================== #
@@ -298,34 +153,29 @@ class TestServingConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"cache_policy": "fifo"},
-            {"cache_capacity": 0},
-            {"cache_fraction": 0.0},
             {"min_depth": -1},
+            {"latency_window": 0},
+            {"max_pending": 0},
+            {"shed_policy": "drop"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
 
-    def test_capacity_resolution_order(self):
-        entry = 1024
-        assert ServingConfig(cache_capacity=7).resolve_cache_capacity(entry) == 7
-        assert ServingConfig(cache_bytes=10 * entry).resolve_cache_capacity(entry) == 10
-        assert ServingConfig(cache_policy="none").resolve_cache_capacity(entry) == 0
-        assert (
-            ServingConfig().resolve_cache_capacity(entry)
-            == ServingConfig.DEFAULT_CACHE_CAPACITY
+    def test_bench_shaped_cache_fields_still_serve_identically(self, prepared_store):
+        """The ignored cache fields keep parsing until ``bench/`` stops setting them."""
+        store = prepared_store.store
+        rows = zipfian_rows(store.num_rows, 100, seed=2)
+        reference = store.gather_packed(np.asarray(rows, dtype=np.int64))
+        bench_shaped = ServingConfig(
+            cache_policy="lru", cache_capacity=64, default_deadline_seconds=10.0
         )
-
-    def test_capacity_from_host_headroom(self):
-        host = MemoryDevice(DeviceSpec(name="host", capacity_bytes=1024**2, bandwidth=1e9))
-        entry = 1024
-        config = ServingConfig(cache_fraction=0.5)
-        assert config.resolve_cache_capacity(entry, host) == host.fit_count(entry, 0.5)
-        assert host.fit_count(entry, 0.5) == 512
-        with pytest.raises(ValueError):
-            host.fit_count(0)
+        for config in (bench_shaped, dataclasses.replace(bench_shaped, cache_policy="none")):
+            with ServingEngine(store, config) as eng:
+                assert np.array_equal(eng.fetch(rows), reference)
+                assert np.array_equal(eng.query(rows), reference)
+                assert "cache" not in eng.snapshot() and "cache" not in eng.health()
 
 
 # =========================================================================== #
@@ -337,30 +187,19 @@ class TestServingCorrectness:
         rows = zipfian_rows(store.num_rows, 200, seed=1)
         reference = store.gather_packed(np.asarray(rows, dtype=np.int64))
         assert np.array_equal(engine.gather_direct(rows), reference)
-        assert np.array_equal(engine.fetch(rows), reference)  # cold cache
-        assert np.array_equal(engine.fetch(rows), reference)  # warm cache
+        assert np.array_equal(engine.fetch(rows), reference)
         assert np.array_equal(engine.query(rows), reference)  # coalesced
-        assert engine.cache.stats.hits > 0
 
-    def test_cache_disabled_still_identical(self, prepared_store):
+    def test_fetch_duplicate_unsorted_ids_match_per_row_gathers(self, engine, prepared_store):
         store = prepared_store.store
-        rows = zipfian_rows(store.num_rows, 100, seed=2)
-        reference = store.gather_packed(np.asarray(rows, dtype=np.int64))
-        with ServingEngine(store, ServingConfig(cache_policy="none")) as eng:
-            assert eng.cache is None
-            assert np.array_equal(eng.fetch(rows), reference)
-            assert np.array_equal(eng.query(rows), reference)
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_tiny_cache_thrashing_stays_identical(self, prepared_store, policy):
-        store = prepared_store.store
-        rows = zipfian_rows(store.num_rows, 300, seed=3)
-        reference = store.gather_packed(np.asarray(rows, dtype=np.int64))
-        config = ServingConfig(cache_policy=policy, cache_capacity=8)
-        with ServingEngine(store, config) as eng:
-            for _ in range(2):
-                assert np.array_equal(eng.fetch(rows), reference)
-            assert eng.cache.stats.evictions > 0
+        rows = np.array([17, 3, 17, 0, store.num_rows - 1, 3, 3, 9], dtype=np.int64)
+        got = engine.fetch(rows)
+        assert got.shape == (store.num_matrices, rows.size, store.feature_dim)
+        assert got.tobytes() == engine.gather_direct(rows).tobytes()
+        for i, row in enumerate(rows):
+            expected = store.gather_packed(np.array([row], dtype=np.int64))[:, 0, :]
+            assert got[:, i, :].tobytes() == expected.tobytes()
+        assert engine.fetch([]).shape == (store.num_matrices, 0, store.feature_dim)
 
     def test_concurrent_zipfian_queries_match_single_node_gathers(self, engine, prepared_store):
         store = prepared_store.store
@@ -391,15 +230,14 @@ class TestServingCorrectness:
 
     def test_adaptive_depth_identical_across_paths(self, small_dataset, prepared_store):
         store = prepared_store.store
-        config = ServingConfig(adaptive_depth=True, min_depth=1, cache_capacity=64)
+        config = ServingConfig(adaptive_depth=True, min_depth=1)
         rows = zipfian_rows(store.num_rows, 150, seed=4)
         with ServingEngine(store, config, graph=small_dataset.graph) as eng:
             assert not eng.depth_policy.is_trivial()
             reference = store.gather_packed(np.asarray(rows, dtype=np.int64)).copy()
             eng.depth_policy.truncate(reference, rows)
             assert np.array_equal(eng.gather_direct(rows), reference)
-            assert np.array_equal(eng.fetch(rows), reference)  # miss path
-            assert np.array_equal(eng.fetch(rows), reference)  # hit path
+            assert np.array_equal(eng.fetch(rows), reference)
             assert np.array_equal(eng.query(rows), reference)
 
     def test_adaptive_depth_requires_graph(self, prepared_store):
@@ -426,7 +264,7 @@ class TestServingCorrectness:
 class TestCoalescing:
     def test_window_dedup_collapses_duplicate_ids(self, prepared_store):
         store = prepared_store.store
-        with ServingEngine(store, ServingConfig(cache_policy="none")) as eng:
+        with ServingEngine(store, ServingConfig()) as eng:
             # the dispatcher is busy: every submission joins the one batch forming behind it
             with held_dispatcher(eng):
                 futures = [eng.submit(row % 5) for row in range(50)]
@@ -440,7 +278,7 @@ class TestCoalescing:
 
     def test_inflight_join_shares_the_running_gather(self, prepared_store):
         store = prepared_store.store
-        config = ServingConfig(cache_policy="none")
+        config = ServingConfig()
         # stall the first gather long enough for a duplicate submit to arrive
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=0.3)])
         with ServingEngine(store, config) as eng, plan.active():
@@ -471,7 +309,6 @@ class TestCoalescing:
     ):
         store = prepared_store.store
         rows = zipfian_rows(store.num_rows - 1, 300, seed=6)  # never the plug row
-        engine.fetch(rows[:50])  # part of the batch will hit the cache, part will miss
         with held_dispatcher(engine):
             futures = [engine.submit(int(row)) for row in rows]
             assert engine.health()["queue_depth"] == np.unique(rows).size
@@ -489,7 +326,6 @@ class TestCoalescing:
         notify that must reach a thread which may be just about to wait."""
         store = prepared_store.store
         config = ServingConfig(
-            cache_capacity=64,
             max_pending=max_pending,
             shed_policy="block",
             admission_timeout_seconds=5.0,
@@ -537,7 +373,7 @@ class TestServingFaults:
     def test_gather_error_fails_futures_but_not_engine(self, prepared_store):
         store = prepared_store.store
         # retries off: a single injected fault must surface to the caller
-        config = ServingConfig(cache_policy="none", gather_retries=0)
+        config = ServingConfig(gather_retries=0)
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="error", at_hit=1)])
         with ServingEngine(store, config) as eng, plan.active():
             doomed = eng.submit(1)
@@ -548,24 +384,9 @@ class TestServingFaults:
             expected = store.gather_packed(np.array([1], dtype=np.int64))[:, 0, :]
             assert np.array_equal(eng.submit(1).result(timeout=10), expected)
 
-    def test_cache_bypass_fault_forces_misses_with_identical_results(self, prepared_store):
-        store = prepared_store.store
-        rows = np.arange(6, dtype=np.int64)
-        reference = store.gather_packed(rows)
-        plan = FaultPlan(
-            specs=[FaultSpec(site="serve.cache", kind="leak", at_hit=1, repeat=10_000)]
-        )
-        with ServingEngine(store, ServingConfig(cache_capacity=64)) as eng, plan.active():
-            assert np.array_equal(eng.fetch(rows), reference)
-            assert np.array_equal(eng.fetch(rows), reference)
-            assert np.array_equal(eng.query(rows), reference)  # the dispatcher's batches too
-            # every lookup was bypassed: nothing was inserted, nothing hit
-            assert len(eng.cache) == 0
-            assert eng.cache.stats.insertions == 0 and eng.cache.stats.lookups == 0
-
     def test_gather_ioerror_direct_path_propagates(self, prepared_store):
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="ioerror", at_hit=1)])
-        with ServingEngine(prepared_store.store, ServingConfig(cache_policy="none")) as eng:
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng:
             with plan.active(), pytest.raises(OSError):
                 eng.gather_direct([0, 1])
             assert np.array_equal(
@@ -638,10 +459,10 @@ class TestServingShm:
 # admission control + backpressure
 # =========================================================================== #
 def quiet_config(**overrides):
-    """No cache and no watchdog: for tests that park submissions in the pending
+    """No watchdog: for tests that park submissions in the pending
     queue behind :func:`held_dispatcher`, so admission, deadline and drain
     behavior can be observed deterministically."""
-    defaults = dict(cache_policy="none", watchdog=False)
+    defaults = dict(watchdog=False)
     defaults.update(overrides)
     return ServingConfig(**defaults)
 
@@ -757,7 +578,6 @@ class TestGatherRetry:
     def test_transient_error_is_retried_to_success(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             gather_retries=2,
             gather_backoff_seconds=0.001,
             watchdog=False,
@@ -773,7 +593,6 @@ class TestGatherRetry:
     def test_transient_ioerror_is_retried_to_success(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             gather_backoff_seconds=0.001,
             watchdog=False,
         )
@@ -784,7 +603,6 @@ class TestGatherRetry:
 
     def test_persistent_fault_exhausts_budget_and_fails_futures(self, prepared_store):
         config = ServingConfig(
-            cache_policy="none",
             gather_retries=1,
             gather_backoff_seconds=0.001,
             watchdog=False,
@@ -822,7 +640,6 @@ class TestWatchdog:
     def test_dispatcher_crash_fails_inflight_and_respawns(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=eager_policy(),
         )
@@ -845,7 +662,6 @@ class TestWatchdog:
     def test_stalled_dispatcher_is_detected_and_replaced(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=SupervisorPolicy(
                 max_respawns=2,
@@ -871,7 +687,6 @@ class TestWatchdog:
     def test_spent_budget_degrades_to_inline_gathers(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=eager_policy(max_respawns=0),
         )
@@ -896,7 +711,6 @@ class TestWatchdog:
     def test_degradation_drains_stranded_pending_inline(self, prepared_store):
         store = prepared_store.store
         config = ServingConfig(
-            cache_policy="none",
             watchdog_interval_seconds=0.02,
             supervisor=SupervisorPolicy(
                 max_respawns=0,
@@ -952,7 +766,7 @@ class TestDrainAndClose:
     def test_close_without_drain_fails_claimed_inflight_batch(self, prepared_store):
         # the batch is already claimed (mid-gather) when close lands: its
         # futures must still resolve typed, not hang unresolved forever
-        config = ServingConfig(cache_policy="none", watchdog=False)
+        config = ServingConfig(watchdog=False)
         plan = FaultPlan(
             specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=0.5)]
         )
@@ -1068,7 +882,6 @@ class TestOverloadEndToEnd:
         config = ServingConfig(
             max_pending=32,
             shed_policy="reject",
-            cache_capacity=128,
             gather_retries=2,
             gather_backoff_seconds=0.001,
             watchdog_interval_seconds=0.02,

@@ -11,9 +11,9 @@ The load-bearing guarantees under test:
   converges to the same bytes.  Silent patch corruption (an injected skipped
   write) is caught by post-patch verification and rolled back.
 * **Epoch protection** — a serving engine answers every request from one
-  pinned store version; an atomic swap flips it to the new version with only
-  the patched cache rows invalidated, and a failed swap degrades to serving
-  the old version (surfaced in ``health()``), never a torn one.
+  pinned store version; an atomic swap flips every path to the new version,
+  and a failed swap degrades to serving the old version (surfaced in
+  ``health()``), never a torn one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.resilience.faultinject import (
     assert_known_sites,
 )
 from repro.resilience.janitor import orphaned_segments
-from repro.serving import HopCache, ServingConfig, ServingEngine
+from repro.serving import ServingConfig, ServingEngine
 from repro.updates import (
     BASE_VERSION,
     GraphDelta,
@@ -791,43 +791,32 @@ def _serving_scenario(num_hops=2, feature_dim=6):
 
 
 class TestServingSwap:
-    def test_hop_cache_invalidate(self):
-        cache = HopCache(4, 2, 3, np.float32, policy="lru")
-        blocks = {row: np.full((2, 3), row, dtype=np.float32) for row in range(4)}
-        for row, block in blocks.items():
-            cache.put(row, block)
-        assert cache.invalidate([1, 3, 99]) == 2
-        assert cache.get(1) is None and cache.get(3) is None
-        assert np.array_equal(cache.get(0), blocks[0])
-        assert np.array_equal(cache.get(2), blocks[2])
-        # freed slots are reusable
-        cache.put(5, np.full((2, 3), 5, dtype=np.float32))
-        assert np.array_equal(cache.get(5), np.full((2, 3), 5, dtype=np.float32))
-
-    def test_adopt_store_flips_answers_and_keeps_unpatched_cache(self):
+    def test_adopt_store_flips_every_path_for_patched_and_unpatched_rows(self):
         store, result = _serving_scenario()
-        old_packed = np.asarray(store.packed_matrix())
-        new_packed = np.asarray(result.store.packed_matrix())
         patched = result.patch_rows
         unpatched = np.setdiff1d(np.arange(store.num_rows), patched)[:4]
-        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
-            assert engine.health()["store_version"] == "base"
-            warm_rows = np.concatenate([patched[:4], unpatched])
-            before = engine.fetch(warm_rows)
-            assert before.tobytes() == np.ascontiguousarray(
-                old_packed[:, warm_rows, :]
-            ).tobytes()
-            engine.begin_update("mem1")
-            assert engine.health()["update"]["pending_version"] == "mem1"
-            engine.adopt_store(result.store, version="mem1", invalidate_rows=patched)
-            health = engine.health()
-            assert health["store_version"] == "mem1"
-            assert health["update"]["status"] == "applied"
-            assert not health["update"]["serving_stale"]
-            after = engine.fetch(warm_rows)
-            assert after.tobytes() == np.ascontiguousarray(
-                new_packed[:, warm_rows, :]
-            ).tobytes()
+        rows = np.concatenate([patched[:4], unpatched])
+        old = store.gather_packed(rows)
+        new = result.store.gather_packed(rows)
+        assert old.tobytes() != new.tobytes()  # the patched rows really changed
+        # ``invalidate_rows`` is accepted and ignored: both forms serve the new bytes
+        for invalidate in (patched, None):
+            with ServingEngine(store, ServingConfig()) as engine:
+                assert engine.health()["store_version"] == "base"
+                assert engine.fetch(rows).tobytes() == old.tobytes()
+                assert engine.query(rows).tobytes() == old.tobytes()
+                engine.begin_update("mem1")
+                assert engine.health()["update"]["pending_version"] == "mem1"
+                engine.adopt_store(result.store, version="mem1", invalidate_rows=invalidate)
+                health = engine.health()
+                assert health["store_version"] == "mem1"
+                assert health["update"]["status"] == "applied"
+                assert not health["update"]["serving_stale"]
+                assert engine.fetch(rows).tobytes() == new.tobytes()
+                assert engine.gather_direct(rows).tobytes() == new.tobytes()
+                for i, row in enumerate(rows):
+                    got = engine.submit(int(row)).result(timeout=30)
+                    assert got.tobytes() == new[:, i, :].tobytes()
 
     def test_swap_failure_serves_stale(self):
         store, result = _serving_scenario()
@@ -836,11 +825,11 @@ class TestServingSwap:
         plan = FaultPlan(
             specs=[FaultSpec(site="update.swap", kind="error", match={"stage": "engine"})]
         )
-        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
+        with ServingEngine(store, ServingConfig()) as engine:
             engine.begin_update("mem1")
             with plan.active():
                 with pytest.raises(UpdateSwapError):
-                    engine.adopt_store(result.store, version="mem1", invalidate_rows=rows)
+                    engine.adopt_store(result.store, version="mem1")
             health = engine.health()
             assert health["store_version"] == "base"
             assert health["update"]["status"] == "failed"
@@ -860,7 +849,7 @@ class TestServingSwap:
             root=None,
             block_size=100,
         )
-        with ServingEngine(store, ServingConfig(cache_policy="none")) as engine:
+        with ServingEngine(store, ServingConfig()) as engine:
             engine.begin_update("mem1")
             with pytest.raises(UpdateSwapError):
                 engine.adopt_store(wrong, version="mem1")
@@ -906,12 +895,12 @@ class TestServingSwap:
             with lock:
                 answers.extend(local)
 
-        with ServingEngine(store, ServingConfig(cache_capacity=64)) as engine:
+        with ServingEngine(store, ServingConfig()) as engine:
             threads = [threading.Thread(target=client, args=(s,)) for s in range(4)]
             for t in threads:
                 t.start()
             engine.begin_update("mem1")
-            engine.adopt_store(result.store, version="mem1", invalidate_rows=patched)
+            engine.adopt_store(result.store, version="mem1")
             swap_done.set()
             for t in threads:
                 t.join(timeout=60)
@@ -949,7 +938,7 @@ class TestSessionUpdates:
         dataset = copy.copy(small_dataset)
         with Session(dataset, root=tmp_path / "store") as session:
             session.preprocess(num_hops=2, mode="blocked", store_layout="packed")
-            engine = session.serve(ServingConfig(cache_capacity=32))
+            engine = session.serve(ServingConfig())
             delta = scenario_delta(dataset.graph, seed=21, feature_dim=dataset.features.shape[1])
             result = session.apply_updates(delta)
             assert result.status == "applied" and result.version == "v0001"
