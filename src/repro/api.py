@@ -188,15 +188,17 @@ class Session:
         *,
         num_hops: int = 3,
         mode: str = "in_core",
-        store_layout: str = "hops",
         **pipeline_kwargs,
     ):
-        """Run pre-propagation; the resulting store becomes the session's store."""
+        """Run pre-propagation; the resulting store becomes the session's store.
+
+        With a session ``root`` the store is written there as one packed
+        file; ``pipeline_kwargs`` go to
+        :class:`~repro.prepropagation.pipeline.PreprocessingPipeline`.
+        """
         if config is None:
             config = PropagationConfig(num_hops=num_hops)
-        pipeline = PreprocessingPipeline(
-            config, root=self.root, store_layout=store_layout, mode=mode, **pipeline_kwargs
-        )
+        pipeline = PreprocessingPipeline(config, root=self.root, mode=mode, **pipeline_kwargs)
         result = pipeline.run(self.dataset)
         self._store = result.store
         self._prop_config = config
@@ -273,16 +275,13 @@ class Session:
     ) -> ServingEngine:
         """Start a :class:`ServingEngine` over this session's store.
 
-        The session's graph rides along so ``config.adaptive_depth`` works
-        without extra plumbing; pass a trained ``model`` to enable
-        ``engine.predict``.
+        Every answer is one gather of all hops from the store; pass a trained
+        ``model`` to enable ``engine.predict``.  The engine follows the
+        session's store versions through :meth:`apply_updates` and closes
+        with the session.
         """
         engine = ServingEngine(
-            self.store,
-            config,
-            graph=self.dataset.graph,
-            model=model,
-            store_version=self._store_version,
+            self.store, config, model=model, store_version=self._store_version
         )
         self._resources.append(engine)
         return engine

@@ -11,7 +11,7 @@ Loader                   Paper counterpart
 :class:`BaselineLoader`  PyTorch ``DataLoader`` per-row collation (Figure 6a)
 :class:`FusedLoader`     customized loader with a single index op (Figure 6b)
 :class:`ChunkReshuffleLoader`  chunk reshuffling + GPU-side assembly (Figure 6d)
-:class:`StorageLoader`   GDS-style chunked reads from per-hop files (Section 4.3)
+:class:`StorageLoader`   GDS-style chunked reads from the store file (Section 4.3)
 =======================  ==========================================================
 
 Optimized assembly path
@@ -128,7 +128,6 @@ class PPGNNLoader:
         self.chunk_size = chunk_size
         self.rng = new_rng(seed)
         self.timing = TimeAccumulator()
-        self._packed_requested = packed  # None = strategy default, bool = explicit
         self.packed = self.supports_packed if packed is None else bool(packed)
         if self.packed and not self.supports_packed:
             raise ValueError(f"{type(self).__name__} does not support the packed assembly path")
@@ -259,6 +258,16 @@ class FusedLoader(PPGNNLoader):
         return self.store.gather(rows)
 
 
+def _copy_runs(matrix: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """The rows of ``runs`` of one matrix, as a fresh in-memory array.
+
+    A single run is copied too: a slice of a mapped file would defer the read
+    past the assembly timer and hand the consumer a read-only view.
+    """
+    pieces = [matrix[start:stop] for start, stop in runs]
+    return np.array(pieces[0]) if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+
+
 class ChunkReshuffleLoader(PPGNNLoader):
     """Chunk reshuffling with GPU-side assembly (SGD-CR).
 
@@ -284,30 +293,24 @@ class ChunkReshuffleLoader(PPGNNLoader):
     def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
         if self.packed:
             return self._fill_runs(self.store.packed_matrix(), rows, runs)
-        matrices = self.store.matrices()
-        out: List[np.ndarray] = []
-        for matrix in matrices:
-            pieces = [matrix[start:stop] for start, stop in runs]
-            out.append(pieces[0].copy() if len(pieces) == 1 else np.concatenate(pieces, axis=0))
-        return out
+        return [_copy_runs(matrix, runs) for matrix in self.store.matrices()]
 
 
 class StorageLoader(PPGNNLoader):
-    """Chunked reads from the hop files of a file-backed store.
+    """Chunked reads from the memory-mapped file of a file-backed store.
 
     Models the GDS path: data never materializes fully in (host) memory —
-    each batch's contiguous runs are read straight from the memory-mapped hop
-    files.  Requires chunk reshuffling (the paper only supports SGD-CR for
-    storage-resident inputs).  When the store was persisted with
-    ``layout="packed"`` the packed path reads each run with one bulk copy per
-    matrix slab from the single mapped file; otherwise it falls back to the
-    per-hop-file reads.
+    each batch's contiguous runs are read straight from the mapped
+    ``packed.npy``.  Requires chunk reshuffling (the paper only supports
+    SGD-CR for storage-resident inputs).  The packed path reads each run with
+    one bulk copy across all matrix slabs; ``packed=False`` is the paper's
+    per-matrix storage baseline, one read per run per matrix slab.  Either
+    way the batch is a copy: no yielded matrix aliases the mapped file.
     """
 
     strategy_name = "storage"
 
     def __init__(self, *args, **kwargs) -> None:
-        self._mapped_packed: Optional[np.ndarray] = None
         kwargs.setdefault("method", "cr")
         super().__init__(*args, **kwargs)
         if not self.store.is_file_backed:
@@ -316,29 +319,16 @@ class StorageLoader(PPGNNLoader):
             raise ValueError("StorageLoader only supports the 'cr' training method")
         if self.chunk_size <= 1:
             self.chunk_size = self.batch_size
+        # storage data stays on disk: map the file once, never pack into RAM
+        self._mapped = self.store.packed_matrix(memmap=True)
 
     def _prepare_packed(self) -> None:
-        # storage data stays on disk: map the packed file when it exists and
-        # otherwise keep the per-hop-file fallback (never packs into RAM)
-        if self.store.has_packed_file:
-            self._mapped_packed = self.store.packed_matrix(memmap=True)
-        elif self._packed_requested and self.store.is_file_backed:
-            raise ValueError(
-                "StorageLoader packed=True requires a store persisted with "
-                "layout='packed'; this store uses the per-hop-file layout"
-            )
-        else:
-            self.packed = False  # default adapts; keep the flag truthful
+        pass  # the mapped file is the packed block
 
     def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
-        if self._mapped_packed is not None:
-            return self._fill_runs(self._mapped_packed, rows, runs)
-        mapped = self.store.matrices(memmap=True)
-        out: List[np.ndarray] = []
-        for matrix in mapped:
-            pieces = [np.asarray(matrix[start:stop]) for start, stop in runs]
-            out.append(pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0))
-        return out
+        if self.packed:
+            return self._fill_runs(self._mapped, rows, runs)
+        return [_copy_runs(matrix, runs) for matrix in self._mapped]
 
 
 LOADER_CLASSES = {

@@ -8,9 +8,9 @@ that possible:
   FeatureStore`'s packed block to other processes.  In-memory stores are
   copied once into a ``multiprocessing.shared_memory`` segment that workers
   attach zero-copy; file-backed stores are *not* copied — workers re-open the
-  on-disk files with ``np.load(..., mmap_mode="r")`` (the packed single file,
-  or the per-hop files of a ``layout="hops"`` store), so storage-resident
-  data stays storage-resident.
+  store's ``packed.npy`` with ``np.load(..., mmap_mode="r")``, so
+  storage-resident data stays storage-resident.  Either way a worker reads one
+  ``(M, N, F)`` block and assembles a batch with one gather.
 * :class:`SlotRing` — a ring of ``(M, batch_size, F)`` batch slots in one
   shared segment.  Workers assemble batches straight into a slot and hand the
   *slot index* back over a queue; the consumer reads the slot as a NumPy view.
@@ -43,7 +43,7 @@ import secrets
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
@@ -167,15 +167,14 @@ class StoreHandle:
     ``kind`` selects the attach path:
 
     * ``"shm"`` — attach the named shared-memory segment (in-memory stores);
-    * ``"memmap_packed"`` — memory-map the store's single ``packed.npy``;
-    * ``"memmap_hops"`` — memory-map the per-hop ``hop_XX.npy`` files.
+    * ``"memmap_packed"`` — memory-map the store's ``packed.npy`` at ``path``.
     """
 
     kind: str
     shape: Tuple[int, int, int]
     dtype: str
     shm_name: Optional[str] = None
-    paths: Tuple[str, ...] = ()
+    path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -208,19 +207,9 @@ class SharedPackedStore:
         self._segment: Optional[shared_memory.SharedMemory] = None
         shape = (store.num_matrices, store.num_rows, store.feature_dim)
         dtype = np.dtype(store.dtype)
-        if store.has_packed_file:
+        if store.is_file_backed:
             self.handle = StoreHandle(
-                kind="memmap_packed",
-                shape=shape,
-                dtype=dtype.str,
-                paths=(str(store.root / "packed.npy"),),
-            )
-        elif store.is_file_backed:
-            self.handle = StoreHandle(
-                kind="memmap_hops",
-                shape=shape,
-                dtype=dtype.str,
-                paths=tuple(str(p) for p in store.file_paths()),
+                kind="memmap_packed", shape=shape, dtype=dtype.str, path=str(store.packed_path)
             )
         else:
             packed = store.packed_matrix()
@@ -284,22 +273,19 @@ class AttachedStore:
     """Worker-side read view of the packed block, whatever its transport.
 
     ``gather_into(rows, out)`` fills ``out[m, i] = block[m, rows[i]]`` for all
-    matrices — byte-for-byte the values every loader strategy assembles, so
-    worker-built batches are bit-identical to the single-process paths.
+    matrices with one ``np.take`` — byte-for-byte the values every loader
+    strategy assembles, so worker-built batches are bit-identical to the
+    single-process paths.
     """
 
     def __init__(self, handle: StoreHandle) -> None:
         self._attachment: Optional[Attachment] = None
-        self._packed: Optional[np.ndarray] = None
-        self._hops: List[np.ndarray] = []
         self.num_rows = handle.shape[1]
         if handle.kind == "shm":
             self._attachment = Attachment(handle.shm_name, handle.shape, handle.dtype)
-            self._packed = self._attachment.array
+            self._packed: Optional[np.ndarray] = self._attachment.array
         elif handle.kind == "memmap_packed":
-            self._packed = np.load(handle.paths[0], mmap_mode="r")
-        elif handle.kind == "memmap_hops":
-            self._hops = [np.load(Path(p), mmap_mode="r") for p in handle.paths]
+            self._packed = np.load(handle.path, mmap_mode="r")
         else:
             raise ValueError(f"unknown store handle kind {handle.kind!r}")
 
@@ -307,33 +293,10 @@ class AttachedStore:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise IndexError(f"row indices out of range [0, {self.num_rows})")
-        if self._packed is not None:
-            np.take(self._packed, rows, axis=1, out=out, mode="clip")
-        else:
-            for m, matrix in enumerate(self._hops):
-                out[m] = matrix[rows]
-
-    def gather_hops_into(self, rows: np.ndarray, out: np.ndarray, num_matrices: int) -> None:
-        """Gather only the first ``num_matrices`` matrices for ``rows``.
-
-        Serving's node-adaptive depth path uses this to skip hops a node's
-        truncated depth never reads: ``out`` must be ``(num_matrices, B, F)``
-        and receives ``block[:num_matrices, rows]``.  The leading slice of the
-        packed block is a contiguous view, so the shm/memmap transports stay
-        zero-copy here just like :meth:`gather_into`.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
-            raise IndexError(f"row indices out of range [0, {self.num_rows})")
-        if self._packed is not None:
-            np.take(self._packed[:num_matrices], rows, axis=1, out=out, mode="clip")
-        else:
-            for m in range(num_matrices):
-                out[m] = self._hops[m][rows]
+        np.take(self._packed, rows, axis=1, out=out, mode="clip")
 
     def close(self) -> None:
         self._packed = None
-        self._hops = []
         if self._attachment is not None:
             self._attachment.close()
             self._attachment = None

@@ -13,14 +13,14 @@ a store that only keeps the labeled subset.  This engine removes that wall:
   memmaps** (ping/pong) instead of RAM-resident matrices — the resident
   working set is a handful of ``(block_size, F)`` buffers;
 * each finished block's **labeled rows stream straight into the final store
-  files** (the packed ``(M, rows, F)`` single file or the per-hop ``.npy``
-  files of :class:`~repro.prepropagation.store.FeatureStore`), so the output
-  is born in the zero-copy layout the loaders memory-map — no post-hoc
+  file** (the packed ``(M, rows, F)`` ``packed.npy`` of
+  :class:`~repro.prepropagation.store.FeatureStore`), so the output is born
+  in the zero-copy layout the loaders memory-map — no post-hoc
   ``HopFeatures.from_full_matrices`` restriction, no re-packing copy;
 * blocks optionally **fan out across a process pool** (the same
   fork-preferring, queue-driven worker shape as
   :mod:`repro.dataloading.workers`): workers write disjoint row ranges of the
-  shared memmapped scratch and store files, so no locking is needed and no
+  shared memmapped scratch and store file, so no locking is needed and no
   hop/feature matrix is ever pickled (under the spawn start method the
   features are staged through a scratch memmap; only the sparse operators
   still ride the pickle path there — fork, the Linux default, shares both
@@ -45,12 +45,12 @@ to the store root, with the hop scratch inside it) and every completed
 content digests of what it wrote (:mod:`repro.resilience.checkpoint`).  A
 crash — OOM-kill, preemption, an injected fault — leaves the staging
 directory behind; rerunning with ``resume=True`` validates the journal
-against the run fingerprint (graph + features + config + node ids + layout),
+against the run fingerprint (graph + features + config + node ids),
 verifies the digests of every journaled phase (torn writes truncate the
 trusted prefix; a torn scratch file rolls the owning kernel back to hop 1),
 recomputes only the phases past the trusted prefix, and produces a store
 **byte-identical** to an uninterrupted run.  A fingerprint mismatch (the
-graph, features, config or layout changed) silently invalidates the stale
+graph, features, config or node ids changed) silently invalidates the stale
 staging state and starts fresh.
 """
 
@@ -74,7 +74,14 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.operators import build_operator, operator_row_block
 from repro.prepropagation.propagator import PropagationConfig
-from repro.prepropagation.store import STORE_LAYOUTS, FeatureStore, HopFeatures, store_meta
+from repro.prepropagation.store import (
+    PACKED_FILENAME,
+    FeatureStore,
+    HopFeatures,
+    check_layout,
+    read_store_meta,
+    store_meta,
+)
 from repro.resilience.checkpoint import (
     PhaseJournal,
     RunManifest,
@@ -102,7 +109,7 @@ _ERROR = 1
 # picklable recipes for re-opening shared arrays inside worker processes
 @dataclass(frozen=True)
 class _ArraySpec:
-    """Recipe for re-opening one memmapped array (scratch or store file)."""
+    """Recipe for re-opening one memmapped array (scratch or packed store file)."""
 
     path: str
     shape: Tuple[int, ...]
@@ -116,20 +123,10 @@ def _open_array(spec: _ArraySpec) -> np.ndarray:
     return np.memmap(spec.path, dtype=np.dtype(spec.dtype), mode="r+", shape=spec.shape)
 
 
-@dataclass(frozen=True)
-class _SinkSpec:
-    """Recipe for the destination hop matrices (final store files)."""
-
-    layout: str  # "packed" | "hops"
-    arrays: Tuple[_ArraySpec, ...]  # one packed file, or M per-hop files
-
-
-def _open_sink(spec: _SinkSpec) -> List[np.ndarray]:
+def _open_sink(spec: _ArraySpec) -> List[np.ndarray]:
     """Return the flat kernel-major list of ``(rows, F)`` destination matrices."""
-    if spec.layout == "packed":
-        packed = _open_array(spec.arrays[0])
-        return [packed[m] for m in range(packed.shape[0])]
-    return [_open_array(array_spec) for array_spec in spec.arrays]
+    packed = _open_array(spec)
+    return [packed[m] for m in range(packed.shape[0])]
 
 
 def _open_or_create_memmap(path: Path, shape: Tuple[int, ...], dtype: np.dtype, reuse: bool):
@@ -245,7 +242,7 @@ def _worker_main(
     blocks: List[Tuple[int, int]],
     num_hops: int,
     dtype_str: str,
-    sink_spec: _SinkSpec,
+    sink_spec: _ArraySpec,
     scratch_specs: Dict[str, Optional[_ArraySpec]],
     fault_plan: Optional[FaultPlan],
     task_queue,
@@ -381,26 +378,21 @@ class _WorkerPool:
 
 
 # --------------------------------------------------------------------------- #
-def open_store_arrays(root: Path) -> Tuple[List[np.ndarray], List[np.memmap]]:
+def open_store_arrays(root: Path) -> Tuple[List[np.ndarray], np.memmap]:
     """Open an on-disk store's hop matrices writable, for in-place row patching.
 
-    Returns ``(matrices, memmaps)``: ``matrices`` is the flat kernel-major
-    list of ``(num_rows, feature_dim)`` destination arrays (index
+    Returns ``(matrices, packed)``: ``matrices`` is the flat kernel-major
+    list of ``(num_rows, feature_dim)`` views (index
     ``kernel * (num_hops + 1) + hop``, exactly the sink layout of
-    :func:`propagate_blocked`), ``memmaps`` the underlying file handles to
+    :func:`propagate_blocked`) into ``packed``, the mapped block to
     ``flush()`` once the patch is written.  Only incremental updates write
     through this — and only into *staged* store copies no reader can see.
+    Stores from older releases raise ``ValueError``.
     """
     root = Path(root)
-    meta = json.loads((root / "meta.json").read_text())
-    num_matrices = int(meta["num_kernels"]) * (int(meta["num_hops"]) + 1)
-    if meta["layout"] == "packed":
-        packed = np.load(root / "packed.npy", mmap_mode="r+")
-        return [packed[m] for m in range(num_matrices)], [packed]
-    matrices: List[np.ndarray] = []
-    for m in range(num_matrices):
-        matrices.append(np.load(root / f"hop_{m:02d}.npy", mmap_mode="r+"))
-    return matrices, list(matrices)
+    read_store_meta(root)
+    packed = np.load(root / PACKED_FILENAME, mmap_mode="r+")
+    return [packed[m] for m in range(packed.shape[0])], packed
 
 
 # --------------------------------------------------------------------------- #
@@ -413,9 +405,11 @@ def _run_fingerprint(
 ) -> str:
     """Identity of a resumable run: any change here invalidates stale staging.
 
-    Deliberately excludes ``block_size`` and ``num_workers`` — both change
-    only the tiling/scheduling of the computation, never its bytes, so a run
-    may resume with a different block plan or worker count.
+    ``layout`` is always ``"packed"``; it stays a part so manifests journaled
+    by earlier releases keep matching.  Deliberately excludes ``block_size``
+    and ``num_workers`` — both change only the tiling/scheduling of the
+    computation, never its bytes, so a run may resume with a different block
+    plan or worker count.
     """
     parts = {
         "indptr": digest_array(graph.indptr),
@@ -498,7 +492,7 @@ def propagate_blocked(
     config: PropagationConfig,
     node_ids: np.ndarray,
     root: Optional[Path] = None,
-    layout: str = "hops",
+    layout: str = "packed",
     block_size: int = 4096,
     num_workers: int = 0,
     scratch_dir: Optional[Path] = None,
@@ -515,13 +509,15 @@ def propagate_blocked(
         Sorted unique node ids whose rows the store keeps (the labeled
         nodes).  The restriction happens *during* propagation — each block's
         labeled rows are gathered and written as one contiguous store slice.
-    root / layout:
+    root:
         Destination of the store files, as in
-        :class:`~repro.prepropagation.pipeline.PreprocessingPipeline`.  With
-        ``root=None`` the result is an in-memory store; the engine then only
-        avoids the full-graph hop matrices, not the (unavoidable) packed
-        labeled block.  ``layout="packed"`` keeps even the final store
-        memory-mapped.
+        :class:`~repro.prepropagation.pipeline.PreprocessingPipeline`; the
+        final store stays memory-mapped.  With ``root=None`` the result is an
+        in-memory store; the engine then only avoids the full-graph hop
+        matrices, not the (unavoidable) packed labeled block.
+    layout:
+        Accepts only ``"packed"``; removed with ``bench/``'s follow-up (see
+        :func:`~repro.prepropagation.store.check_layout`).
     block_size:
         Rows per SpMM tile (see
         :func:`repro.autoconfig.planner.plan_propagation_blocks`).
@@ -563,8 +559,7 @@ def propagate_blocked(
         raise ValueError(
             f"features must be (num_nodes, F); got {features.shape} for {graph.num_nodes} nodes"
         )
-    if layout not in STORE_LAYOUTS:
-        raise ValueError(f"unknown store layout {layout!r}; expected one of {STORE_LAYOUTS}")
+    check_layout(layout)
     if block_size <= 0:
         raise ValueError("block_size must be positive")
     if num_workers < 0:
@@ -613,7 +608,7 @@ def propagate_blocked(
         store_root.parent.mkdir(parents=True, exist_ok=True)
         staging_root = store_root.parent / f".{store_root.name}.staging"
         journal = PhaseJournal(staging_root)
-        fingerprint = _run_fingerprint(graph, features, config, node_ids, layout)
+        fingerprint = _run_fingerprint(graph, features, config, node_ids, "packed")
         manifest = journal.load_manifest()
         if manifest is not None and manifest.fingerprint == fingerprint:
             resuming = True
@@ -629,7 +624,7 @@ def propagate_blocked(
             journal.write_manifest(
                 RunManifest(
                     fingerprint=fingerprint,
-                    layout=layout,
+                    layout="packed",
                     num_kernels=num_kernels,
                     num_hops=num_hops,
                     num_rows=num_rows,
@@ -704,10 +699,9 @@ def propagate_blocked(
                 str(features_path), features.shape, features.dtype.str, npy=False
             )
 
-        # ---------------- destination store files / arrays ---------------- #
-        temp_sink_path: Optional[Path] = None
-        packed_ram: Optional[np.ndarray] = None
-        sink_memmaps: List[np.memmap] = []
+        # ---------------- destination packed block ------------------------ #
+        sink_shape = (num_matrices, num_rows, feature_dim)
+        sink_spec: Optional[_ArraySpec] = None
         if root is not None:
             # stage into a sibling directory and rename into place on success:
             # a crash neither leaves half-written slabs behind nor destroys a
@@ -720,49 +714,18 @@ def propagate_blocked(
                 staging_root = store_root.parent / f".{store_root.name}.staging-{os.getpid()}"
                 shutil.rmtree(staging_root, ignore_errors=True)
                 staging_root.mkdir()
-            if layout == "packed":
-                path = staging_root / "packed.npy"
-                packed = _open_or_create_memmap(
-                    path, (num_matrices, num_rows, feature_dim), dtype, reuse=resuming
-                )
-                sink_memmaps.append(packed)
-                sink_mats = [packed[m] for m in range(num_matrices)]
-                sink_spec = _SinkSpec(
-                    "packed",
-                    (_ArraySpec(str(path), packed.shape, dtype.str, npy=True),),
-                )
-            else:
-                sink_mats = []
-                specs = []
-                for m in range(num_matrices):
-                    path = staging_root / f"hop_{m:02d}.npy"
-                    matrix = _open_or_create_memmap(
-                        path, (num_rows, feature_dim), dtype, reuse=resuming
-                    )
-                    sink_memmaps.append(matrix)
-                    sink_mats.append(matrix)
-                    specs.append(_ArraySpec(str(path), matrix.shape, dtype.str, npy=True))
-                sink_spec = _SinkSpec("hops", tuple(specs))
+            sink_spec = _ArraySpec(
+                str(staging_root / PACKED_FILENAME), sink_shape, dtype.str, npy=True
+            )
         elif num_workers > 0:
             # in-memory store requested but workers cannot write parent RAM:
             # stage through a scratch packed file and read it back once
-            temp_sink_path = scratch_root / "sink.npy"
-            packed = np.lib.format.open_memmap(
-                temp_sink_path,
-                mode="w+",
-                dtype=dtype,
-                shape=(num_matrices, num_rows, feature_dim),
-            )
-            sink_memmaps.append(packed)
-            sink_mats = [packed[m] for m in range(num_matrices)]
-            sink_spec = _SinkSpec(
-                "packed",
-                (_ArraySpec(str(temp_sink_path), packed.shape, dtype.str, npy=True),),
-            )
+            sink_spec = _ArraySpec(str(scratch_root / "sink.npy"), sink_shape, dtype.str, npy=True)
+        if sink_spec is not None:
+            sink = _open_or_create_memmap(Path(sink_spec.path), sink_shape, dtype, reuse=resuming)
         else:
-            packed_ram = np.empty((num_matrices, num_rows, feature_dim), dtype=dtype)
-            sink_mats = [packed_ram[m] for m in range(num_matrices)]
-            sink_spec = None
+            sink = np.empty(sink_shape, dtype=dtype)
+        sink_mats = [sink[m] for m in range(num_matrices)]
 
         # ---------------- resume: trust the journaled prefix --------------- #
         skip_phases: set = set()
@@ -825,10 +788,7 @@ def propagate_blocked(
                 # durability order: phase data reaches disk before the journal
                 # entry that vouches for it
                 matrix_index = kernel * (num_hops + 1) + hop
-                if layout == "packed" or root is None:
-                    sink_memmaps[0].flush()
-                else:
-                    sink_memmaps[matrix_index].flush()
+                sink.flush()
                 dest_tag = _hop_dest_tag(hop, num_hops)
                 scratch_digest = None
                 if dest_tag is not None:
@@ -854,13 +814,12 @@ def propagate_blocked(
 
         # ---------------- finalize the store ------------------------------- #
         began = time.perf_counter()
-        for memmapped in sink_memmaps:
-            memmapped.flush()
+        if sink_spec is not None:
+            sink.flush()
         if root is not None:
             store_root = Path(root)
             np.save(staging_root / "node_ids.npy", node_ids)
             meta = store_meta(
-                layout=layout,
                 num_kernels=num_kernels,
                 num_hops=num_hops,
                 num_rows=num_rows,
@@ -868,7 +827,7 @@ def propagate_blocked(
                 dtype=dtype,
             )
             (staging_root / "meta.json").write_text(json.dumps(meta, indent=2))
-            del sink_mats, sink_memmaps
+            del sink_mats, sink
             if journal is not None:
                 # the journal and scratch are run state, not store content
                 journal.discard()
@@ -885,13 +844,10 @@ def propagate_blocked(
             shutil.rmtree(retired, ignore_errors=True)
             store = FeatureStore.load(store_root)
         else:
-            if temp_sink_path is not None:
-                del sink_mats, sink_memmaps
-                packed_ram = np.load(temp_sink_path)
-            hop_features = HopFeatures.from_packed(
-                packed_ram, node_ids, num_kernels=num_kernels
-            )
-            store = FeatureStore(hop_features, root=None, layout=layout)
+            if sink_spec is not None:
+                del sink_mats
+                sink = np.load(sink_spec.path)  # read the worker-written block back once
+            store = FeatureStore(HopFeatures.from_packed(sink, node_ids, num_kernels=num_kernels))
         write_seconds += time.perf_counter() - began
         completed = True
     finally:

@@ -3,7 +3,8 @@
 Wraps the propagation engines with the bookkeeping the experiments need:
 restriction to labeled nodes, byte/expansion accounting (Section 3.4),
 per-phase timing (Table 2 / Table 7), and optional persistence through
-:class:`~repro.prepropagation.store.FeatureStore`.
+:class:`~repro.prepropagation.store.FeatureStore` as one packed ``(M, N, F)``
+file.
 
 Two execution modes share one result contract:
 
@@ -12,8 +13,8 @@ Two execution modes share one result contract:
   labeled rows afterwards.  Peak memory ``O(K (R + 1) N F)``.
 * ``"blocked"`` — the out-of-core engine
   (:func:`~repro.prepropagation.blocked.propagate_blocked`): row-tiled SpMM,
-  disk-backed hop scratch, labeled rows streamed straight into the final
-  store layout, optional worker processes.  Peak memory ``O(block_size x F)``
+  disk-backed hop scratch, labeled rows streamed straight into the packed
+  store file, optional worker processes.  Peak memory ``O(block_size x F)``
   scratch.  Bit-identical output for a fixed accumulation dtype.
 
 ``"auto"`` picks blocked when the in-core transient would exceed the memory
@@ -36,7 +37,7 @@ from repro.prepropagation.propagator import (
     flops_estimate,
     propagate_features,
 )
-from repro.prepropagation.store import FeatureStore, HopFeatures
+from repro.prepropagation.store import FeatureStore, HopFeatures, check_layout
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
 
@@ -75,9 +76,8 @@ class PreprocessingResult:
             "expanded_bytes": self.expanded_feature_bytes,
             "expansion_factor": self.expansion_factor,
             "labeled_rows": self.labeled_rows,
-            # self-describing Table 7 runs: where the store lives and how the
-            # SpMM accumulated are part of the measurement, not incidentals
-            "layout": self.store.layout,
+            # self-describing Table 7 runs: how the SpMM accumulated and which
+            # engine ran are part of the measurement, not incidentals
             "accumulate_dtype": self.config.accumulate_dtype,
             "mode": self.mode,
         }
@@ -92,9 +92,12 @@ class PreprocessingPipeline:
 
     Parameters
     ----------
-    config / root / store_layout:
-        As before: propagation recipe, optional persistence root, on-disk
-        layout (``"hops"`` or ``"packed"``).
+    config / root:
+        Propagation recipe and optional persistence root (the store is then
+        written as one packed file there).
+    store_layout:
+        Accepts only ``"packed"``; removed with ``bench/``'s follow-up (see
+        :func:`~repro.prepropagation.store.check_layout`).
     mode:
         ``"in_core"`` (reference), ``"blocked"`` (out-of-core engine) or
         ``"auto"`` (blocked iff the in-core transient exceeds the budget).
@@ -123,7 +126,7 @@ class PreprocessingPipeline:
         self,
         config: PropagationConfig,
         root: Optional[Path] = None,
-        store_layout: str = "hops",
+        store_layout: str = "packed",
         mode: str = "in_core",
         block_size: Optional[int] = None,
         num_workers: int = 0,
@@ -131,6 +134,7 @@ class PreprocessingPipeline:
         scratch_dir: Optional[Path] = None,
         resume: bool = False,
     ) -> None:
+        check_layout(store_layout)
         if mode not in PREPROCESSING_MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {PREPROCESSING_MODES}")
         if num_workers < 0:
@@ -141,7 +145,6 @@ class PreprocessingPipeline:
             raise ValueError("resume is only supported by the blocked mode")
         self.config = config
         self.root = Path(root) if root is not None else None
-        self.store_layout = store_layout
         self.mode = mode
         self.block_size = block_size
         self.num_workers = num_workers
@@ -209,7 +212,6 @@ class PreprocessingPipeline:
                 self.config,
                 labeled,
                 root=self.root,
-                layout=self.store_layout,
                 block_size=self._planned_block_size(dataset),
                 num_workers=self.num_workers,
                 scratch_dir=self.scratch_dir,
@@ -221,7 +223,7 @@ class PreprocessingPipeline:
             )
             with Timer() as write_timer:
                 hop_features = HopFeatures.from_full_matrices(full_matrices, labeled)
-                store = FeatureStore(hop_features, root=self.root, layout=self.store_layout)
+                store = FeatureStore(hop_features, root=self.root)
             timing = dict(timing)
             timing["store_write_seconds"] = write_timer.elapsed
             timing["total_seconds"] += write_timer.elapsed

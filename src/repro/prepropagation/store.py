@@ -6,9 +6,8 @@ The store abstracts where those matrices live:
 
 * :class:`HopFeatures` — the logical container (kernel-major, hop-major list
   of row-aligned matrices restricted to the labeled nodes);
-* :class:`FeatureStore` — an optionally file-backed store that splits hops
-  into separate ``.npy`` files (as the paper does to enable parallel storage
-  reads for GDS) and memory-maps them on access.
+* :class:`FeatureStore` — an optionally file-backed store that persists the
+  matrices as one packed ``.npy`` file and memory-maps it on access.
 
 Packed layout
 -------------
@@ -19,17 +18,16 @@ therefore expose a *packed* view — a single contiguous
 assembles every hop of a batch in a single kernel instead of ``K (R + 1)``
 separate fancy-index gathers (see :mod:`repro.dataloading.loaders`).
 
-File-backed stores support two on-disk layouts, selected by ``layout``:
-
-* ``"hops"`` (default) — one ``hop_XX.npy`` per matrix, the paper's layout for
-  parallel GDS reads;
-* ``"packed"`` — a single ``packed.npy`` holding the ``(M, N, F)`` block so a
-  memory-mapped :class:`~repro.dataloading.loaders.StorageLoader` can serve a
-  chunk run with one contiguous read per matrix slab.
-
-Either way a ``meta.json`` records ``(num_kernels, num_hops)`` so
-:meth:`FeatureStore.load` restores the kernel-major structure instead of
-collapsing multi-kernel stores into one kernel.
+A file-backed store is that block on disk: ``packed.npy`` holds the
+``(M, N, F)`` array, so a memory-mapped
+:class:`~repro.dataloading.loaders.StorageLoader` serves a chunk run with one
+contiguous read per matrix slab, and every other reader (worker processes,
+the serving engine, incremental updates) maps the same file.  A
+``meta.json`` records ``(num_kernels, num_hops)`` so :meth:`FeatureStore.load`
+restores the kernel-major structure instead of collapsing multi-kernel stores
+into one kernel.  The paper's per-hop files (Section 4.3, one ``.npy`` per
+matrix for parallel GDS reads) are not written: every reader here gathers a
+batch from all hops at once, which one block serves with one gather.
 """
 
 from __future__ import annotations
@@ -45,15 +43,47 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("prepropagation.store")
 
-#: Supported on-disk layouts for file-backed stores.
-STORE_LAYOUTS = ("hops", "packed")
-
 _META_FILENAME = "meta.json"
-_PACKED_FILENAME = "packed.npy"
+PACKED_FILENAME = "packed.npy"
+#: the one on-disk format; ``meta.json`` names it so older stores are detectable
+_LAYOUT = "packed"
+
+
+def check_layout(layout: str) -> None:
+    """Reject every store layout but ``"packed"``.
+
+    ``FeatureStore(layout=)``, ``propagate_blocked(layout=)`` and
+    ``PreprocessingPipeline(store_layout=)`` keep the keyword only because
+    ``bench/`` still passes ``"packed"``; removed with ``bench/``'s follow-up.
+    """
+    if layout != _LAYOUT:
+        raise ValueError(
+            f"store layout {layout!r} is not supported: the per-hop layout was removed "
+            f"and every store is {_LAYOUT!r}"
+        )
+
+
+def read_store_meta(root: Path) -> dict:
+    """``meta.json`` of the store at ``root``, after checking it is a packed store.
+
+    A directory without ``meta.json`` or whose metadata names another layout
+    was written by an older release (per-hop ``hop_XX.npy`` files); it is
+    rejected rather than guessed at.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"no feature store at {root}")
+    meta_path = root / _META_FILENAME
+    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    if meta.get("layout") != _LAYOUT:
+        raise ValueError(
+            f"{root} is not a packed feature store (layout {meta.get('layout')!r}); "
+            "stores from older releases are not readable: re-run preprocessing"
+        )
+    return meta
 
 
 def store_meta(
-    layout: str,
     num_kernels: int,
     num_hops: int,
     num_rows: int,
@@ -68,7 +98,7 @@ def store_meta(
     """
     return {
         "version": 2,
-        "layout": layout,
+        "layout": _LAYOUT,
         "num_kernels": int(num_kernels),
         "num_hops": int(num_hops),
         "num_rows": int(num_rows),
@@ -227,29 +257,25 @@ class HopFeatures:
 
 
 class FeatureStore:
-    """Hop-major feature storage, in memory or backed by ``.npy`` files.
+    """Hop-major feature storage, in memory or backed by one packed ``.npy`` file.
 
-    File-backed mode mirrors the paper's storage layout for GDS training
-    ("we split input features of different hops into separate files, enabling
-    parallel storage access requests", Section 4.3); loading uses NumPy
-    memory-mapping so only the touched rows are read from disk.  With
-    ``layout="packed"`` the hops are instead written as one contiguous
-    ``packed.npy`` so storage reads of a chunk run need a single request per
-    matrix slab — the layout the optimized :class:`StorageLoader` memory-maps.
+    File-backed mode writes the ``(M, N, F)`` block as ``packed.npy`` and
+    memory-maps it on access, so only the touched rows are read from disk and
+    storage reads of a chunk run need a single request per matrix slab — the
+    file the :class:`~repro.dataloading.loaders.StorageLoader` maps.
+
+    ``layout`` accepts only ``"packed"`` (see :func:`check_layout`).
     """
 
     def __init__(
         self,
         hop_features: HopFeatures,
         root: Optional[Path] = None,
-        layout: str = "hops",
+        layout: str = _LAYOUT,
     ) -> None:
-        if layout not in STORE_LAYOUTS:
-            raise ValueError(f"unknown store layout {layout!r}; expected one of {STORE_LAYOUTS}")
+        check_layout(layout)
         self._features = hop_features
         self.root = Path(root) if root is not None else None
-        self.layout = layout
-        self._file_paths: list[Path] = []
         if self.root is not None:
             self._persist()
 
@@ -287,79 +313,49 @@ class FeatureStore:
         return self.root is not None
 
     @property
-    def has_packed_file(self) -> bool:
-        """True when a single-file packed block exists on disk for memmapping."""
-        return self.is_file_backed and self.layout == "packed"
+    def packed_path(self) -> Path:
+        """The store's ``packed.npy`` (file-backed stores only)."""
+        if self.root is None:
+            raise RuntimeError("an in-memory store has no packed file")
+        return self.root / PACKED_FILENAME
 
     def nbytes(self) -> int:
         return self._features.nbytes()
 
-    def file_paths(self) -> list[Path]:
-        return list(self._file_paths)
-
     # ------------------------------------------------------------------ #
-    def _meta(self) -> dict:
-        return store_meta(
-            layout=self.layout,
+    def _persist(self) -> None:
+        assert self.root is not None
+        self.root.mkdir(parents=True, exist_ok=True)
+        np.save(self.packed_path, self._features.packed())
+        np.save(self.root / "node_ids.npy", self._features.node_ids)
+        meta = store_meta(
             num_kernels=self._features.num_kernels,
             num_hops=self._features.num_hops,
             num_rows=self._features.num_rows,
             feature_dim=self._features.feature_dim,
             dtype=self.dtype,
         )
+        (self.root / _META_FILENAME).write_text(json.dumps(meta, indent=2))
+        logger.info("persisted packed store to %s", self.root)
 
-    def _persist(self) -> None:
-        assert self.root is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._file_paths = []
-        if self.layout == "packed":
-            path = self.root / _PACKED_FILENAME
-            np.save(path, self._features.packed())
-            self._file_paths.append(path)
-        else:
-            for idx, matrix in enumerate(self._features.hop_list()):
-                path = self.root / f"hop_{idx:02d}.npy"
-                np.save(path, matrix)
-                self._file_paths.append(path)
-        np.save(self.root / "node_ids.npy", self._features.node_ids)
-        (self.root / _META_FILENAME).write_text(json.dumps(self._meta(), indent=2))
-        logger.info(
-            "persisted %d %s-layout file(s) to %s", len(self._file_paths), self.layout, self.root
-        )
-
-    def matrices(self, memmap: bool = False) -> List[np.ndarray]:
-        """Return the flat list of hop matrices.
-
-        ``memmap=True`` (only valid for file-backed stores) returns read-only
-        memory-mapped arrays, modelling storage-resident data.
-        """
-        if memmap:
-            if not self.is_file_backed:
-                raise RuntimeError("memmap access requires a file-backed store")
-            if self.layout == "packed":
-                block = self.packed_matrix(memmap=True)
-                return [block[m] for m in range(block.shape[0])]
-            return [np.load(path, mmap_mode="r") for path in self._file_paths]
+    def matrices(self) -> List[np.ndarray]:
+        """Return the flat list of hop matrices (kernel-major, then hop)."""
         return self._features.hop_list()
 
     def packed_matrix(self, memmap: bool = False) -> np.ndarray:
         """Return the contiguous ``(num_matrices, num_rows, F)`` block.
 
-        ``memmap=True`` requires a file-backed store persisted with
-        ``layout="packed"`` and returns the read-only mapped block.
+        ``memmap=True`` requires a file-backed store and returns the
+        read-only mapped block, modelling storage-resident data.
         """
         if memmap:
-            if not self.has_packed_file:
-                raise RuntimeError(
-                    "memmap packed access requires a file-backed store with layout='packed'"
-                )
-            return np.load(self.root / _PACKED_FILENAME, mmap_mode="r")
+            return np.load(self.packed_path, mmap_mode="r")
         return self._features.packed()
 
     def gather(self, row_indices: np.ndarray, memmap: bool = False) -> List[np.ndarray]:
         """Fetch the given rows from every hop matrix."""
         if memmap:
-            return [np.asarray(m[np.asarray(row_indices)]) for m in self.matrices(memmap=True)]
+            return list(self.gather_packed(row_indices, memmap=True))
         return self._features.gather(row_indices)
 
     def gather_packed(
@@ -389,43 +385,19 @@ class FeatureStore:
     def load(root: Path) -> "FeatureStore":
         """Re-open a store persisted by a previous run.
 
-        Stores persisted with ``meta.json`` restore their kernel-major
-        ``(num_kernels, num_hops)`` structure and on-disk layout; legacy
-        stores (no metadata) fall back to a single-kernel interpretation.
+        Restores the kernel-major ``(num_kernels, num_hops)`` structure that
+        ``meta.json`` records.  The block is mapped rather than read:
+        storage-resident stores may exceed host RAM, and in-memory consumers
+        materialize it lazily through :meth:`packed_matrix`.  Stores from
+        older releases raise ``ValueError`` (see :func:`read_store_meta`).
         """
         root = Path(root)
+        meta = read_store_meta(root)
         node_ids = np.load(root / "node_ids.npy")
-        meta_path = root / _META_FILENAME
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else None
-
-        layout = meta["layout"] if meta else "hops"
-        num_kernels = int(meta["num_kernels"]) if meta else 1
-        if layout == "packed":
-            packed_path = root / _PACKED_FILENAME
-            if not packed_path.exists():
-                raise FileNotFoundError(f"no {_PACKED_FILENAME} found under {root}")
-            # map rather than read: storage-resident stores may exceed host RAM,
-            # and in-memory consumers materialize lazily through packed()
-            packed = np.load(packed_path, mmap_mode="r")
-            features = HopFeatures.from_packed(packed, node_ids, num_kernels=num_kernels)
-            file_paths = [packed_path]
-        else:
-            hop_paths = sorted(root.glob("hop_*.npy"))
-            if not hop_paths:
-                raise FileNotFoundError(f"no hop files found under {root}")
-            flat = [np.load(p) for p in hop_paths]
-            if len(flat) % num_kernels:
-                raise ValueError(
-                    f"{len(flat)} hop files under {root} do not divide into "
-                    f"{num_kernels} kernels recorded in {_META_FILENAME}"
-                )
-            per_kernel = len(flat) // num_kernels
-            matrices = [flat[k * per_kernel : (k + 1) * per_kernel] for k in range(num_kernels)]
-            features = HopFeatures(node_ids=node_ids, matrices=matrices)
-            file_paths = hop_paths
+        packed = np.load(root / PACKED_FILENAME, mmap_mode="r")
         store = FeatureStore.__new__(FeatureStore)
-        store._features = features
+        store._features = HopFeatures.from_packed(
+            packed, node_ids, num_kernels=int(meta["num_kernels"])
+        )
         store.root = root
-        store.layout = layout
-        store._file_paths = file_paths
         return store

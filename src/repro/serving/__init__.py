@@ -5,14 +5,12 @@ See :class:`~repro.serving.engine.ServingEngine` for the entry point; the
 """
 
 from repro.serving.config import SHED_POLICIES, ServingConfig
-from repro.serving.depth import NodeAdaptiveDepth
 from repro.serving.engine import ServingEngine, ServingStats
 from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError, ServingError
 
 __all__ = [
     "DeadlineExceeded",
     "DispatcherFailed",
-    "NodeAdaptiveDepth",
     "OverloadError",
     "SHED_POLICIES",
     "ServingConfig",

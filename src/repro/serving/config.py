@@ -1,8 +1,8 @@
 """Configuration for the online serving tier.
 
-One dataclass owns every serving knob — node-adaptive depth and the
-overload/resilience posture (admission control, deadlines, gather retries,
-dispatcher watchdog, drain budget) — so the engine constructor does not
+One dataclass owns every serving knob — the overload/resilience posture
+(admission control, deadlines, gather retries, dispatcher watchdog, drain
+budget) — so the engine constructor does not
 sprawl into kwargs and the :mod:`repro.api` facade can hand the same object
 from session to engine unchanged.
 """
@@ -10,7 +10,7 @@ from session to engine unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.resilience.supervisor import SupervisorPolicy
 
@@ -34,11 +34,6 @@ class ServingConfig:
         Has no knob either: every answer is one gather from the packed store,
         which is already in RAM.  ``cache_policy`` and ``cache_capacity`` are
         ignored; removed with ``bench/``'s serving config in the follow-up.
-
-    Node-adaptive depth
-        ``adaptive_depth=True`` truncates gathers per node: rows whose degree
-        falls in higher ``depth_quantiles`` bands are served with fewer hops,
-        down to ``min_depth`` (arXiv:2310.10998).
 
     Admission control
         At most ``max_pending`` *distinct* node ids may sit in the pending
@@ -71,9 +66,6 @@ class ServingConfig:
     cache_policy: str = "none"
     #: ignored; removed with ``bench/``'s serving config in the follow-up
     cache_capacity: Optional[int] = None
-    adaptive_depth: bool = False
-    min_depth: int = 1
-    depth_quantiles: Tuple[float, ...] = (0.5, 0.9)
     #: how many recent request latencies the engine retains for percentiles
     latency_window: int = 65536
     #: distinct pending ids admitted before shedding (None = unbounded)
@@ -94,8 +86,6 @@ class ServingConfig:
     drain_timeout_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.min_depth < 0:
-            raise ValueError("min_depth must be non-negative")
         if self.latency_window < 1:
             raise ValueError("latency_window must be >= 1")
         if self.max_pending is not None and self.max_pending < 1:

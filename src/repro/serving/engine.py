@@ -6,21 +6,16 @@ path: it attaches to the packed ``(M, N, F)`` store through the same
 shared-memory/memmap transports multi-process training uses
 (:mod:`repro.dataloading.shm`), accepts node-id queries, and answers each
 batch of them with one ``gather_into`` from the attached store.  The store is
-already in RAM, so nothing sits in front of that gather; two things shape it:
-
-* **Request coalescing** — the dispatcher is work-conserving: the moment it
-  is free it claims everything pending, so the coalescing window is the
-  previous dispatch (an idle engine answers a request in one hand-off, a busy
-  one grows its batches by itself); duplicate ids waiting together collapse
-  to one entry, and a query for an id already being gathered joins that
-  in-flight batch instead of issuing another.
-* **Node-adaptive depth** — gathers optionally read only the hops a node
-  needs (:class:`~repro.serving.depth.NodeAdaptiveDepth`), repeating the
-  deepest kept hop so output shapes never change.
-
-Both paths — direct and coalesced — return bit-identical blocks: depth
-assignment is a pure per-row function, so correctness tests can compare them
-byte for byte.
+already in RAM, so nothing sits in front of that gather, and every answer —
+``fetch``, dispatch, inline — reads all ``M`` hop matrices of its rows in that
+one gather.  What shapes the batches is **request coalescing**: the
+dispatcher is work-conserving — the moment it is free it claims everything
+pending, so the coalescing window is the previous dispatch (an idle engine
+answers a request in one hand-off, a busy one grows its batches by itself);
+duplicate ids waiting together collapse to one entry, and a query for an id
+already being gathered joins that in-flight batch instead of issuing another.
+Both paths — direct and coalesced — therefore return bit-identical blocks,
+so correctness tests compare them byte for byte.
 
 On top of the fast path sits the **overload/resilience layer**:
 
@@ -64,7 +59,6 @@ from repro.dataloading.shm import SharedPackedStore, attach_store
 from repro.prepropagation.store import FeatureStore
 from repro.resilience.faultinject import fault_point
 from repro.serving.config import ServingConfig
-from repro.serving.depth import NodeAdaptiveDepth
 from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError
 from repro.updates.errors import UpdateSwapError
 from repro.utils.logging import get_logger
@@ -151,8 +145,7 @@ class ServingEngine:
     config:
         :class:`ServingConfig`; defaults apply when omitted.
     graph:
-        Required when ``config.adaptive_depth`` is set — degree scores come
-        from it.
+        Accepted and ignored; removed with ``bench/``'s follow-up.
     model:
         Optional PP-GNN model enabling :meth:`predict`.
     store_version:
@@ -190,19 +183,6 @@ class ServingEngine:
         self._shared = SharedPackedStore(store, kind="serve")
         self._attached = attach_store(self._shared.handle)
 
-        self._depth: Optional[NodeAdaptiveDepth] = None
-        if self.config.adaptive_depth:
-            if graph is None:
-                raise ValueError("adaptive_depth=True requires the graph the store was built from")
-            self._depth = NodeAdaptiveDepth.from_graph(
-                graph,
-                store.node_ids,
-                num_hops=store.num_hops,
-                num_kernels=store.num_kernels,
-                min_depth=self.config.min_depth,
-                quantiles=self.config.depth_quantiles,
-            )
-
         self.stats = ServingStats()
         self._policy = self.config.resolve_supervisor()
         #: serializes every store gather against a version swap
@@ -226,9 +206,8 @@ class ServingEngine:
             )
             self._watchdog.start()
         logger.debug(
-            "serving engine up: %d rows, adaptive_depth=%s, max_pending=%s, watchdog=%s",
+            "serving engine up: %d rows, max_pending=%s, watchdog=%s",
             self.num_rows,
-            self._depth is not None,
             self.config.max_pending,
             self.config.watchdog,
         )
@@ -241,8 +220,8 @@ class ServingEngine:
 
         The lowest-latency path for a caller already holding a batch of ids,
         and the one every dispatch and inline answer takes.  Returns the
-        ``(M, B, F)`` block in request order (depth-truncated when adaptive
-        depth is on); a duplicate id is simply gathered again.
+        ``(M, B, F)`` block in request order; a duplicate id is simply
+        gathered again.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         out = np.empty((self.num_matrices, rows.size, self.feature_dim), dtype=self.dtype)
@@ -625,34 +604,7 @@ class ServingEngine:
     def _gather_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
         """Fill ``out`` with the store blocks for ``rows``; caller holds ``_gather_lock``."""
         fault_point("serve.gather", num_rows=int(rows.size))
-        depth = self._depth
-        if depth is None or depth.is_trivial() or rows.size == 0:
-            self._attached.gather_into(rows, out)
-            return
-        if depth.num_kernels > 1:
-            # multi-kernel packed layout interleaves kernels, so the leading
-            # matrices are not "the shallow hops" — gather fully, truncate after
-            self._attached.gather_into(rows, out)
-            depth.truncate(out, rows)
-            return
-        # single kernel: matrices are exactly hops 0..R, so a depth-d group
-        # only ever reads the first d+1 matrices of the packed block
-        depths = depth.depths[rows]
-        for d in np.unique(depths):
-            positions = np.flatnonzero(depths == d)
-            count = int(d) + 1
-            if count >= self.num_matrices:
-                partial = np.empty(
-                    (self.num_matrices, positions.size, self.feature_dim), dtype=self.dtype
-                )
-                self._attached.gather_into(rows[positions], partial)
-                out[:, positions, :] = partial
-                continue
-            partial = np.empty((count, positions.size, self.feature_dim), dtype=self.dtype)
-            self._attached.gather_hops_into(rows[positions], partial, count)
-            out[:count, positions, :] = partial
-            # hops beyond the node's depth repeat its deepest gathered hop
-            out[count:, positions, :] = partial[count - 1]
+        self._attached.gather_into(rows, out)
 
     # ------------------------------------------------------------------ #
     # zero-downtime store version swap (epoch protection)
@@ -777,10 +729,6 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # introspection / lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def depth_policy(self) -> Optional[NodeAdaptiveDepth]:
-        return self._depth
-
     def snapshot(self) -> dict:
         """One dict of engine counters (for logs and benchmarks)."""
         return self.stats.snapshot()

@@ -197,8 +197,10 @@ def _fingerprint_parts(
 ) -> Dict[str, object]:
     """Everything an update's identity hashes except the source version.
 
-    Digesting the arrays is the expensive part, and one ``apply_update`` asks
-    for the fingerprint against up to three source versions: do it once.
+    ``layout`` is always ``"packed"``; it stays a part so ``LAST_UPDATE``
+    records and staged runs from earlier releases keep matching.  Digesting
+    the arrays is the expensive part, and one ``apply_update`` asks for the
+    fingerprint against up to three source versions: do it once.
     """
     return {
         "indptr": digest_array(graph.indptr),
@@ -318,7 +320,7 @@ def _verify_staged(
     """
     rng = np.random.default_rng(int(fingerprint[:16], 16))
     staged = FeatureStore.load(staged_store)
-    staged_mats = staged.matrices(memmap=True)
+    staged_mats = staged.packed_matrix(memmap=True)
     node_ids = source_store.node_ids
     sample_nodes = _sample(rng, patch_nodes, max(1, verify_samples))
     check_nodes, check_rows, recomputed = compute_patches(
@@ -334,7 +336,7 @@ def _verify_staged(
     unpatched = np.setdiff1d(np.arange(node_ids.size), patch_rows, assume_unique=True)
     sample_rows = _sample(rng, unpatched, max(1, verify_samples))
     if sample_rows.size:
-        source_mats = source_store.matrices(memmap=source_store.is_file_backed)
+        source_mats = source_store.packed_matrix(memmap=source_store.is_file_backed)
         for m, matrix in enumerate(staged_mats):
             got = np.ascontiguousarray(matrix[sample_rows])
             want = np.ascontiguousarray(source_mats[m][sample_rows])
@@ -427,7 +429,7 @@ def apply_update(
             timing=timing,
         )
 
-    parts = _fingerprint_parts(graph, features, delta, config, node_ids, source_store.layout)
+    parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
     fingerprint = _update_fingerprint(parts, source_version)
 
     last = _load_last_update(versions)
@@ -610,7 +612,7 @@ def apply_update(
         journal.write_manifest(
             RunManifest(
                 fingerprint=fingerprint,
-                layout=source_store.layout,
+                layout="packed",
                 num_kernels=config.num_kernels,
                 num_hops=config.num_hops,
                 num_rows=int(node_ids.size),
@@ -652,7 +654,7 @@ def apply_update(
         patch_nodes, patch_rows, patches = compute_patches(
             new_graph, new_features, config, node_ids, affected, partials=partials
         )
-        matrices, memmaps = open_store_arrays(staged_store)
+        matrices, packed = open_store_arrays(staged_store)
         written: List[int] = []
         for m, patch in enumerate(patches):
             digest = trusted_patches.get(m)
@@ -665,12 +667,11 @@ def apply_update(
                 matrices[m][patch_rows] = patch
             written.append(m)
         if written:
-            # one msync for the whole batch — the packed layout backs every
-            # matrix with a single memmap, so flushing inside the loop synced
-            # the same file M times.  Entries are journaled only after the
-            # flush, so a trusted digest always vouches for durable bytes.
-            for memmapped in memmaps:
-                memmapped.flush()
+            # one msync for the whole batch — one memmap backs every matrix,
+            # so flushing inside the loop would sync the same file M times.
+            # Entries are journaled only after the flush, so a trusted digest
+            # always vouches for durable bytes.
+            packed.flush()
         for m in written:
             _journal_append(
                 journal,
@@ -681,7 +682,7 @@ def apply_update(
                 },
                 fault_plan,
             )
-        del matrices, memmaps
+        del matrices, packed
         timing["patch_seconds"] = time.perf_counter() - began
 
         # ------------- verify (rollback on mismatch) ---------------------- #
@@ -793,7 +794,7 @@ def apply_memory_update(
     hop_features = HopFeatures.from_packed(
         packed, node_ids.copy(), num_kernels=store.num_kernels
     )
-    new_store = FeatureStore(hop_features, root=None, layout=store.layout)
+    new_store = FeatureStore(hop_features)
     return UpdateResult(
         version=version,
         previous_version=version,

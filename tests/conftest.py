@@ -6,6 +6,8 @@ scope so the full suite stays fast while still exercising real training.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,24 @@ def prepared_store(small_dataset):
     """Pre-propagated features (2 hops) for the small products replica."""
     config = PropagationConfig(num_hops=2)
     return PreprocessingPipeline(config).run(small_dataset)
+
+
+@pytest.fixture()
+def legacy_store():
+    """Write a per-hop store directory the way releases before the packed-only
+    format did: ``hop_XX.npy`` files, ``node_ids.npy`` and, unless ``layout``
+    is ``None``, a ``meta.json`` naming that layout."""
+
+    def write(root, layout="hops", num_rows=6, num_hops=2):
+        root.mkdir(parents=True)
+        rng = np.random.default_rng(1)
+        for hop in range(num_hops + 1):
+            matrix = rng.standard_normal((num_rows, 2)).astype(np.float32)
+            np.save(root / f"hop_{hop:02d}.npy", matrix)
+        np.save(root / "node_ids.npy", np.arange(num_rows))
+        if layout is not None:
+            meta = {"version": 2, "layout": layout, "num_kernels": 1, "num_hops": num_hops}
+            (root / "meta.json").write_text(json.dumps(meta))
+        return root
+
+    return write

@@ -126,16 +126,6 @@ class TestSession:
         assert issubclass(repro.OverloadError, repro.ServingError)
         assert issubclass(repro.ServingError, RuntimeError)
 
-    def test_serve_wires_graph_for_adaptive_depth(self, small_dataset):
-        with Session(small_dataset) as session:
-            session.preprocess(num_hops=2)
-            engine = session.serve(ServingConfig(adaptive_depth=True))
-            assert engine.depth_policy is not None
-            rows = np.arange(12)
-            reference = session.store.gather_packed(rows).copy()
-            engine.depth_policy.truncate(reference, rows)
-            assert np.array_equal(engine.fetch(rows), reference)
-
 
 class TestLifecycleShims:
     """`close()` stays manual-callable even though `with` makes it needless."""

@@ -2,7 +2,8 @@
 
 The contract of :mod:`repro.prepropagation.blocked`: for a fixed accumulation
 dtype, the blocked engine writes stores **bit-identical** to the in-core
-reference path — across kernels, hops, on-disk layouts, and worker counts —
+reference path — across kernels, hops, file-backed or in-memory stores, and
+worker counts —
 while never materializing a full-graph hop matrix in RAM.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 from repro.datasets.registry import load_dataset
 from repro.prepropagation import (
+    FeatureStore,
     PreprocessingPipeline,
     PropagationConfig,
     propagate_blocked,
@@ -54,7 +56,7 @@ def _assert_stores_equal(reference, candidate, exact=True):
 
 
 class TestBlockedEqualsInCore:
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
+    @pytest.mark.parametrize("layout", ["packed"])
     @pytest.mark.parametrize("num_workers", [0, 2])
     def test_file_backed_bit_identical_float64(
         self, sparse_label_dataset, tmp_path, layout, num_workers
@@ -71,7 +73,9 @@ class TestBlockedEqualsInCore:
             num_workers=num_workers,
         ).run(sparse_label_dataset)
         _assert_stores_equal(reference.store, blocked.store, exact=True)
-        assert blocked.store.layout == layout
+        assert sorted(p.name for p in (tmp_path / "blk").iterdir()) == [
+            "meta.json", "node_ids.npy", "packed.npy"
+        ]
         # byte accounting is mode-independent
         assert blocked.expanded_feature_bytes == reference.expanded_feature_bytes
         assert blocked.labeled_rows == reference.labeled_rows
@@ -96,7 +100,7 @@ class TestBlockedEqualsInCore:
         reference64 = PreprocessingPipeline(MULTI_KERNEL_CONFIG).run(sparse_label_dataset)
         reference32 = PreprocessingPipeline(config32).run(sparse_label_dataset)
         blocked32 = PreprocessingPipeline(
-            config32, root=tmp_path / "blk32", store_layout="packed",
+            config32, root=tmp_path / "blk32",
             mode="blocked", block_size=251,
         ).run(sparse_label_dataset)
         # blocked matches in-core exactly at the same accumulation dtype...
@@ -138,12 +142,11 @@ class TestBlockedEqualsInCore:
     def test_blocked_store_loads_like_in_core_store(self, sparse_label_dataset, tmp_path):
         """meta.json written by the engine is indistinguishable from FeatureStore's."""
         PreprocessingPipeline(
-            MULTI_KERNEL_CONFIG, root=tmp_path / "ref", store_layout="packed"
+            MULTI_KERNEL_CONFIG, root=tmp_path / "ref"
         ).run(sparse_label_dataset)
         PreprocessingPipeline(
             MULTI_KERNEL_CONFIG,
             root=tmp_path / "blk",
-            store_layout="packed",
             mode="blocked",
             block_size=500,
         ).run(sparse_label_dataset)
@@ -195,8 +198,8 @@ class TestBlockedEngineBehavior:
             propagate_blocked(graph, features, config, np.array([0, graph.num_nodes]))
         with pytest.raises(ValueError, match="block_size"):
             propagate_blocked(graph, features, config, np.array([0, 1]), block_size=0)
-        with pytest.raises(ValueError, match="layout"):
-            propagate_blocked(graph, features, config, np.array([0, 1]), layout="columnar")
+        with pytest.raises(ValueError, match="per-hop layout was removed"):
+            propagate_blocked(graph, features, config, np.array([0, 1]), layout="hops")
 
     def test_scratch_is_cleaned_up(self, small_dataset, tmp_path):
         PreprocessingPipeline(
@@ -222,7 +225,6 @@ class TestBlockedEngineBehavior:
             PreprocessingPipeline(
                 PropagationConfig(num_hops=2),
                 root=root,
-                store_layout="packed",
                 mode="blocked",
                 block_size=256,
             ).run(small_dataset)
@@ -235,12 +237,9 @@ class TestBlockedEngineBehavior:
         """Output is staged and renamed into place: a crashed rerun must leave
         the earlier valid store untouched (and no staging residue)."""
         from repro.prepropagation import blocked as blocked_module
-        from repro.prepropagation.store import FeatureStore
-
         root = tmp_path / "reused"
-        config = PropagationConfig(num_hops=1)
         first = PreprocessingPipeline(
-            config, root=root, store_layout="hops", mode="blocked", block_size=512
+            PropagationConfig(num_hops=1), root=root, mode="blocked", block_size=512
         ).run(small_dataset)
         assert (root / "meta.json").exists()
 
@@ -250,7 +249,7 @@ class TestBlockedEngineBehavior:
         monkeypatch.setattr(blocked_module, "_run_phase", boom)
         with pytest.raises(RuntimeError, match="injected"):
             PreprocessingPipeline(
-                config, root=root, store_layout="packed", mode="blocked", block_size=512
+                PropagationConfig(num_hops=2), root=root, mode="blocked", block_size=512
             ).run(small_dataset)
         # the old store still loads verbatim, and no staging dirs are left over
         reloaded = FeatureStore.load(root)
@@ -258,18 +257,21 @@ class TestBlockedEngineBehavior:
         assert [p for p in tmp_path.iterdir() if p.name != "reused"] == []
 
     def test_successful_rerun_replaces_previous_store(self, small_dataset, tmp_path):
-        """A different-layout rerun at the same root swaps cleanly — no stale mix."""
+        """A different-config rerun at the same root swaps cleanly — no stale mix."""
         root = tmp_path / "swapped"
-        config = PropagationConfig(num_hops=1)
         PreprocessingPipeline(
-            config, root=root, store_layout="hops", mode="blocked", block_size=512
+            PropagationConfig(num_hops=1), root=root, mode="blocked", block_size=512
         ).run(small_dataset)
         result = PreprocessingPipeline(
-            config, root=root, store_layout="packed", mode="blocked", block_size=512
+            PropagationConfig(num_hops=2), root=root, mode="blocked", block_size=512
         ).run(small_dataset)
-        assert result.store.layout == "packed"
-        assert list(root.glob("hop_*.npy")) == []  # no hops-layout leftovers
-        assert (root / "packed.npy").exists()
+        reference = PreprocessingPipeline(PropagationConfig(num_hops=2)).run(small_dataset)
+        reloaded = FeatureStore.load(root)
+        assert reloaded.num_hops == result.store.num_hops == 2
+        _assert_stores_equal(reference.store, reloaded, exact=True)
+        # no file of the first store and no staging residue is left over
+        assert sorted(p.name for p in root.iterdir()) == ["meta.json", "node_ids.npy", "packed.npy"]
+        assert [p for p in tmp_path.iterdir() if p.name != "swapped"] == []
 
     def test_spawn_workers_stage_features_instead_of_pickling(
         self, sparse_label_dataset, tmp_path
@@ -285,7 +287,6 @@ class TestBlockedEngineBehavior:
             PropagationConfig(num_hops=2),
             labeled,
             root=tmp_path / "spawned",
-            layout="packed",
             block_size=600,
             num_workers=2,
             start_method="spawn",
@@ -308,7 +309,6 @@ class TestBlockedEngineBehavior:
             pipeline = PreprocessingPipeline(
                 config,
                 root=tmp_path / mode,
-                store_layout="packed",
                 mode=mode,
                 block_size=250,
                 scratch_dir=tmp_path,

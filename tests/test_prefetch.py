@@ -50,15 +50,11 @@ def store_and_labels(prepared_store, small_dataset):
 
 @pytest.fixture()
 def file_backed(small_dataset, tmp_path):
-    """One store per on-disk layout, over identical features."""
-    stores = {}
-    for layout in ("hops", "packed"):
-        result = PreprocessingPipeline(
-            PropagationConfig(num_hops=2), root=tmp_path / layout, store_layout=layout
-        ).run(small_dataset)
-        stores[layout] = result.store
-    labels = small_dataset.labels[stores["hops"].node_ids]
-    return stores, labels
+    """A store persisted to (and memory-mappable from) ``packed.npy``."""
+    store = PreprocessingPipeline(PropagationConfig(num_hops=2), root=tmp_path / "store").run(
+        small_dataset
+    ).store
+    return store, small_dataset.labels[store.node_ids]
 
 
 class TestPackedEquivalence:
@@ -77,15 +73,15 @@ class TestPackedEquivalence:
 
     @pytest.mark.parametrize("strategy", ["fused", "chunk", "storage"])
     def test_packed_matches_seed_path_file_backed(self, file_backed, strategy):
-        stores, labels = file_backed
-        # seed reference: per-hop layout, naive assembly
+        store, labels = file_backed
+        # seed reference: per-matrix naive assembly
         seed_path = _materialize_epoch(
-            build_loader(strategy, stores["hops"], labels, 128, seed=5, packed=False)
+            build_loader(strategy, store, labels, 128, seed=5, packed=False)
         )
         packed = _materialize_epoch(
             build_loader(
                 strategy,
-                stores["packed"],
+                store,
                 labels,
                 128,
                 seed=5,
@@ -101,13 +97,19 @@ class TestPackedEquivalence:
         with pytest.raises(ValueError):
             build_loader("baseline", store, labels, 64, packed=True)
 
-    def test_storage_explicit_packed_requires_packed_layout(self, file_backed):
-        stores, labels = file_backed
-        with pytest.raises(ValueError, match="layout='packed'"):
-            build_loader("storage", stores["hops"], labels, 64, packed=True)
-        # the strategy default adapts instead of failing, and says so
-        loader = build_loader("storage", stores["hops"], labels, 64)
-        assert loader.packed is False
+    def test_file_backed_batches_are_writeable_copies(self, file_backed):
+        """No strategy hands out a view into the mapped store file: every
+        yielded matrix is writeable and shares no memory with the block."""
+        store, labels = file_backed
+        mapped = store.packed_matrix(memmap=True)
+        for strategy in ("baseline", "fused", "chunk", "storage"):
+            for packed in (False, True) if strategy != "baseline" else (False,):
+                loader = build_loader(strategy, store, labels, 128, seed=1, packed=packed)
+                for batch in loader.epoch():
+                    for matrix in batch.hop_features:
+                        assert matrix.flags.writeable, (strategy, packed)
+                        assert not np.shares_memory(matrix, mapped), (strategy, packed)
+                        assert not isinstance(matrix, np.memmap), (strategy, packed)
 
     def test_reused_buffers_are_actually_reused(self, store_and_labels):
         store, labels = store_and_labels
@@ -141,10 +143,10 @@ class TestPrefetchLoader:
         _assert_epochs_identical(sync, prefetched)
 
     def test_prefetch_bit_identical_storage(self, file_backed):
-        stores, labels = file_backed
-        sync = _materialize_epoch(build_loader("storage", stores["packed"], labels, 128, seed=2))
+        store, labels = file_backed
+        sync = _materialize_epoch(build_loader("storage", store, labels, 128, seed=2))
         prefetched = _materialize_epoch(
-            PrefetchLoader(build_loader("storage", stores["packed"], labels, 128, seed=2), depth=1)
+            PrefetchLoader(build_loader("storage", store, labels, 128, seed=2), depth=1)
         )
         _assert_epochs_identical(sync, prefetched)
 
@@ -159,12 +161,12 @@ class TestPrefetchLoader:
 
     @pytest.mark.parametrize("strategy", ["chunk", "storage"])
     def test_prefetch_with_buffer_reuse_file_backed(self, file_backed, strategy):
-        stores, labels = file_backed
+        store, labels = file_backed
         sync = _materialize_epoch(
-            build_loader(strategy, stores["hops"], labels, 96, seed=4, packed=False)
+            build_loader(strategy, store, labels, 96, seed=4, packed=False)
         )
         inner = build_loader(
-            strategy, stores["packed"], labels, 96, seed=4, packed=True, reuse_buffers=True, num_buffers=3
+            strategy, store, labels, 96, seed=4, packed=True, reuse_buffers=True, num_buffers=3
         )
         prefetched = _materialize_epoch(PrefetchLoader(inner, depth=1))
         _assert_epochs_identical(sync, prefetched)

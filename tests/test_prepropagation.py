@@ -162,7 +162,9 @@ class TestFeatureStore:
         result = PreprocessingPipeline(config, root=tmp_path / "store").run(small_dataset)
         store = result.store
         assert store.is_file_backed
-        assert len(store.file_paths()) == 2
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+            "meta.json", "node_ids.npy", "packed.npy"
+        ]
         rows = np.array([0, 3, 7])
         assert np.allclose(store.gather(rows)[0], store.gather(rows, memmap=True)[0])
         reloaded = FeatureStore.load(tmp_path / "store")
@@ -170,7 +172,7 @@ class TestFeatureStore:
 
     def test_memmap_requires_file_backing(self, prepared_store):
         with pytest.raises(RuntimeError):
-            prepared_store.store.matrices(memmap=True)
+            prepared_store.store.packed_matrix(memmap=True)
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -203,32 +205,24 @@ class TestFeatureStore:
 
     def test_packed_file_layout_round_trip(self, small_dataset, tmp_path):
         config = PropagationConfig(num_hops=2)
-        result = PreprocessingPipeline(config, root=tmp_path / "pk", store_layout="packed").run(
-            small_dataset
-        )
+        result = PreprocessingPipeline(config, root=tmp_path / "pk").run(small_dataset)
         store = result.store
-        assert store.has_packed_file
-        assert len(store.file_paths()) == 1
+        assert store.packed_path == tmp_path / "pk" / "packed.npy"
         rows = np.array([0, 4, 9])
         assert np.array_equal(store.gather_packed(rows), store.gather_packed(rows, memmap=True))
         reloaded = FeatureStore.load(tmp_path / "pk")
-        assert reloaded.layout == "packed"
         assert reloaded.num_matrices == store.num_matrices
         assert np.array_equal(reloaded.packed_matrix(), store.packed_matrix())
 
-    def test_memmap_packed_requires_packed_layout(self, small_dataset, tmp_path):
-        result = PreprocessingPipeline(PropagationConfig(num_hops=1), root=tmp_path / "h").run(
-            small_dataset
-        )
-        with pytest.raises(RuntimeError):
-            result.store.packed_matrix(memmap=True)
-
     def test_invalid_layout_rejected(self, prepared_store):
-        with pytest.raises(ValueError):
-            FeatureStore(prepared_store.store._features, layout="columnar")
+        features = prepared_store.store._features
+        for layout in ("hops", "columnar"):
+            with pytest.raises(ValueError, match="per-hop layout was removed"):
+                FeatureStore(features, layout=layout)
+        assert FeatureStore(features, layout="packed").num_rows == features.num_rows
 
     # --------------------- multi-kernel load regression ---------------- #
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
+    @pytest.mark.parametrize("layout", ["packed"])
     def test_multi_kernel_load_round_trip(self, tmp_path, layout):
         """Regression: load() used to collapse multi-kernel stores into one kernel."""
         rng = np.random.default_rng(0)
@@ -245,7 +239,7 @@ class TestFeatureStore:
             for got, want in zip(kernel_got, kernel_want):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
+    @pytest.mark.parametrize("layout", ["packed"])
     def test_multi_kernel_gather_round_trip(self, tmp_path, layout):
         """Kernel/hop ordering must survive save -> load -> gather verbatim.
 
@@ -284,17 +278,17 @@ class TestFeatureStore:
         block = reloaded.gather_packed(rows)
         assert np.array_equal(block, np.stack(original.gather(rows)))
 
-    def test_legacy_store_without_meta_loads_single_kernel(self, tmp_path):
-        """Stores persisted before meta.json existed still load (one kernel)."""
-        rng = np.random.default_rng(1)
-        root = tmp_path / "legacy"
-        root.mkdir()
-        for idx in range(3):
-            np.save(root / f"hop_{idx:02d}.npy", rng.standard_normal((6, 2)).astype(np.float32))
-        np.save(root / "node_ids.npy", np.arange(6))
-        store = FeatureStore.load(root)
-        assert store.num_kernels == 1
-        assert store.num_matrices == 3
+    def test_legacy_store_is_rejected(self, tmp_path, legacy_store):
+        """Per-hop stores from older releases (with or without meta.json) are
+        refused with a message naming the root, by every reader."""
+        from repro.prepropagation.blocked import open_store_arrays
+
+        for layout in ("hops", None):
+            root = legacy_store(tmp_path / f"legacy-{layout}", layout)
+            for read in (FeatureStore.load, open_store_arrays):
+                with pytest.raises(ValueError, match="re-run preprocessing") as caught:
+                    read(root)
+                assert str(root) in str(caught.value)
 
 
 class TestPipeline:
@@ -318,9 +312,8 @@ class TestPipeline:
         assert {"hops", "kernels", "wall_seconds", "expansion_factor"} <= set(prepared_store.summary())
 
     def test_summary_is_self_describing(self, prepared_store):
-        """Tab-7 runs need the store layout and accumulation dtype in the record."""
+        """Tab-7 runs need the accumulation dtype and engine in the record."""
         summary = prepared_store.summary()
-        assert summary["layout"] == prepared_store.store.layout
         assert summary["accumulate_dtype"] == prepared_store.config.accumulate_dtype
         assert summary["mode"] == "in_core"
         assert {"operator_seconds", "propagate_seconds", "store_write_seconds"} <= set(summary)

@@ -69,12 +69,6 @@ def labeled_rows(sparse_label_dataset):
     return np.unique(np.concatenate([split.train, split.valid, split.test]))
 
 
-def _store_files(root, layout):
-    if layout == "packed":
-        return ["packed.npy"]
-    return [f"hop_{m:02d}.npy" for m in range(NUM_PHASES)]
-
-
 def _propagate(dataset, labeled, root, layout, **kwargs):
     return propagate_blocked(
         dataset.graph,
@@ -97,8 +91,8 @@ def _interrupt_at(dataset, labeled, root, layout, boundary, **kwargs):
         _propagate(dataset, labeled, root, layout, resume=True, fault_plan=plan, **kwargs)
 
 
-def _assert_store_bytes_equal(reference_root, candidate_root, layout):
-    for name in _store_files(reference_root, layout) + ["node_ids.npy"]:
+def _assert_store_bytes_equal(reference_root, candidate_root):
+    for name in ("packed.npy", "node_ids.npy"):
         assert (candidate_root / name).read_bytes() == (reference_root / name).read_bytes(), name
     assert json.loads((candidate_root / "meta.json").read_text()) == json.loads(
         (reference_root / "meta.json").read_text()
@@ -272,7 +266,7 @@ class TestBlockedResume:
                 resume=True,
             )
 
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
+    @pytest.mark.parametrize("layout", ["packed"])
     def test_resume_after_every_phase_boundary(
         self, sparse_label_dataset, labeled_rows, tmp_path, layout
     ):
@@ -293,10 +287,10 @@ class TestBlockedResume:
             )
             assert timing["phases_resumed"] == boundary
             assert timing["phases_computed"] == NUM_PHASES - boundary
-            _assert_store_bytes_equal(reference, root, layout)
+            _assert_store_bytes_equal(reference, root)
             assert not staging.exists()  # run state cleaned up on success
 
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
+    @pytest.mark.parametrize("layout", ["packed"])
     def test_resume_with_worker_pool(
         self, sparse_label_dataset, labeled_rows, tmp_path, layout
     ):
@@ -311,7 +305,7 @@ class TestBlockedResume:
             sparse_label_dataset, labeled_rows, root, layout, resume=True, num_workers=2
         )
         assert timing["phases_resumed"] == 5
-        _assert_store_bytes_equal(reference, root, layout)
+        _assert_store_bytes_equal(reference, root)
 
     def test_resume_across_block_size_change(
         self, sparse_label_dataset, labeled_rows, tmp_path
@@ -327,12 +321,11 @@ class TestBlockedResume:
             MULTI_KERNEL_CONFIG,
             labeled_rows,
             root=root,
-            layout="packed",
             block_size=1024,  # different tiling, same bytes
             resume=True,
         )
         assert timing["phases_resumed"] == 3
-        _assert_store_bytes_equal(reference, root, "packed")
+        _assert_store_bytes_equal(reference, root)
 
     def test_fingerprint_change_invalidates_stale_staging(
         self, sparse_label_dataset, labeled_rows, tmp_path
@@ -347,7 +340,6 @@ class TestBlockedResume:
             MULTI_KERNEL_CONFIG,
             labeled_rows,
             root=root,
-            layout="packed",
             block_size=512,
             resume=True,
         )
@@ -373,7 +365,7 @@ class TestBlockedResume:
         )
         # the digest mismatch at phase 1 invalidates the whole journaled prefix
         assert timing["phases_resumed"] == 0
-        _assert_store_bytes_equal(reference, root, "packed")
+        _assert_store_bytes_equal(reference, root)
 
     def test_torn_scratch_rolls_kernel_back_to_hop_one(
         self, sparse_label_dataset, labeled_rows, tmp_path
@@ -393,13 +385,13 @@ class TestBlockedResume:
         )
         # the kernel's SpMM chain restarts at hop 1; hop 0 (features copy) holds
         assert timing["phases_resumed"] == 1
-        _assert_store_bytes_equal(reference, root, "packed")
+        _assert_store_bytes_equal(reference, root)
 
     def test_pipeline_resume(self, sparse_label_dataset, tmp_path):
         config = PropagationConfig(num_hops=2)
         reference_root = tmp_path / "reference"
         PreprocessingPipeline(
-            config, root=reference_root, store_layout="packed", mode="blocked", block_size=512
+            config, root=reference_root, mode="blocked", block_size=512
         ).run(sparse_label_dataset)
         root = tmp_path / "resumable"
         plan = FaultPlan(
@@ -409,7 +401,6 @@ class TestBlockedResume:
             PreprocessingPipeline(
                 config,
                 root=root,
-                store_layout="packed",
                 mode="blocked",
                 block_size=512,
                 resume=True,
@@ -417,7 +408,6 @@ class TestBlockedResume:
         result = PreprocessingPipeline(
             config,
             root=root,
-            store_layout="packed",
             mode="blocked",
             block_size=512,
             resume=True,

@@ -1,10 +1,9 @@
-"""Serving tier: node-adaptive depth, coalescing, faults.
+"""Serving tier: coalescing, admission, faults.
 
 The load-bearing property throughout is *bit identity*: whatever path a
 query takes — direct gather, ``fetch``, coalesced micro-batch, inline
-degraded answer, adaptive-depth truncation — the returned block must equal
-the reference ``store.gather_packed`` values (post-truncation when adaptive
-depth is on) byte for byte.
+degraded answer — the returned block must equal the reference
+``store.gather_packed`` values byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.resilience.supervisor import SupervisorPolicy
 from repro.serving import (
     DeadlineExceeded,
     DispatcherFailed,
-    NodeAdaptiveDepth,
     OverloadError,
     ServingConfig,
     ServingEngine,
@@ -92,58 +90,6 @@ def join_closer(closer: threading.Thread) -> None:
 
 
 # =========================================================================== #
-# node-adaptive depth
-# =========================================================================== #
-class TestNodeAdaptiveDepth:
-    def test_higher_scores_get_shallower_depth(self):
-        scores = np.arange(100, dtype=np.float64)
-        depth = NodeAdaptiveDepth.from_scores(scores, num_hops=3, min_depth=1)
-        assert depth.depths.min() == 1 and depth.depths.max() == 3
-        # monotone: sorting by score never increases depth
-        order = np.argsort(scores)
-        assert np.all(np.diff(depth.depths[order]) <= 0)
-
-    def test_uniform_scores_keep_full_depth(self):
-        depth = NodeAdaptiveDepth.from_scores(np.ones(50), num_hops=3)
-        assert depth.is_trivial()
-        assert np.all(depth.depths == 3)
-
-    def test_truncate_matches_manual_reference(self):
-        rng = np.random.default_rng(3)
-        num_hops, num_kernels, feat = 3, 2, 5
-        per = num_hops + 1
-        depths = rng.integers(1, num_hops + 1, size=30)
-        depth = NodeAdaptiveDepth(depths, num_hops=num_hops, num_kernels=num_kernels)
-        block = rng.standard_normal((num_kernels * per, 12, feat)).astype(np.float32)
-        rows = rng.integers(0, 30, size=12)
-        expected = block.copy()
-        for col, row in enumerate(rows):
-            for k in range(num_kernels):
-                for hop in range(depths[row] + 1, per):
-                    expected[k * per + hop, col] = expected[k * per + depths[row], col]
-        got = depth.truncate(block.copy(), rows)
-        assert np.array_equal(got, expected)
-
-    def test_from_graph_uses_out_degree(self, small_dataset, prepared_store):
-        store = prepared_store.store
-        depth = NodeAdaptiveDepth.from_graph(
-            small_dataset.graph, store.node_ids, num_hops=store.num_hops
-        )
-        assert depth.depths.shape == (store.num_rows,)
-        degrees = small_dataset.graph.out_degree(store.node_ids)
-        # the highest-degree row must sit in the shallowest occupied band
-        assert depth.depths[np.argmax(degrees)] == depth.depths.min()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="min_depth"):
-            NodeAdaptiveDepth.from_scores(np.ones(5), num_hops=2, min_depth=3)
-        with pytest.raises(ValueError, match="quantiles"):
-            NodeAdaptiveDepth.from_scores(np.ones(5), num_hops=2, quantiles=(0.0, 0.5))
-        with pytest.raises(ValueError, match="depths"):
-            NodeAdaptiveDepth(np.array([5]), num_hops=3, num_kernels=1)
-
-
-# =========================================================================== #
 # serving config
 # =========================================================================== #
 class TestServingConfig:
@@ -153,7 +99,7 @@ class TestServingConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"min_depth": -1},
+            {"admission_timeout_seconds": 0},
             {"latency_window": 0},
             {"max_pending": 0},
             {"shed_policy": "drop"},
@@ -163,8 +109,9 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
 
-    def test_bench_shaped_cache_fields_still_serve_identically(self, prepared_store):
-        """The ignored cache fields keep parsing until ``bench/`` stops setting them."""
+    def test_bench_shaped_cache_fields_still_serve_identically(self, prepared_store, small_dataset):
+        """The ignored cache fields and ``graph=`` keep parsing until ``bench/``
+        stops passing them."""
         store = prepared_store.store
         rows = zipfian_rows(store.num_rows, 100, seed=2)
         reference = store.gather_packed(np.asarray(rows, dtype=np.int64))
@@ -172,7 +119,7 @@ class TestServingConfig:
             cache_policy="lru", cache_capacity=64, default_deadline_seconds=10.0
         )
         for config in (bench_shaped, dataclasses.replace(bench_shaped, cache_policy="none")):
-            with ServingEngine(store, config) as eng:
+            with ServingEngine(store, config, graph=small_dataset.graph) as eng:
                 assert np.array_equal(eng.fetch(rows), reference)
                 assert np.array_equal(eng.query(rows), reference)
                 assert "cache" not in eng.snapshot() and "cache" not in eng.health()
@@ -227,22 +174,6 @@ class TestServingCorrectness:
         assert snap["requests"] == 4 * 80
         # skewed ids across 4 threads must coalesce at least once
         assert snap["coalesced_window"] + snap["coalesced_inflight"] > 0
-
-    def test_adaptive_depth_identical_across_paths(self, small_dataset, prepared_store):
-        store = prepared_store.store
-        config = ServingConfig(adaptive_depth=True, min_depth=1)
-        rows = zipfian_rows(store.num_rows, 150, seed=4)
-        with ServingEngine(store, config, graph=small_dataset.graph) as eng:
-            assert not eng.depth_policy.is_trivial()
-            reference = store.gather_packed(np.asarray(rows, dtype=np.int64)).copy()
-            eng.depth_policy.truncate(reference, rows)
-            assert np.array_equal(eng.gather_direct(rows), reference)
-            assert np.array_equal(eng.fetch(rows), reference)
-            assert np.array_equal(eng.query(rows), reference)
-
-    def test_adaptive_depth_requires_graph(self, prepared_store):
-        with pytest.raises(ValueError, match="graph"):
-            ServingEngine(prepared_store.store, ServingConfig(adaptive_depth=True))
 
     def test_submit_validates_row_range(self, engine):
         with pytest.raises(IndexError):

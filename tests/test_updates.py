@@ -4,8 +4,8 @@ versioned swap, and serving epoch protection.
 The load-bearing guarantees under test:
 
 * **Bit identity** — an incremental update's store is byte-for-byte equal to
-  a from-scratch blocked re-propagation of the updated graph (both layouts,
-  chained across versions, in-memory and file-backed).
+  a from-scratch blocked re-propagation of the updated graph (chained across
+  versions, in-memory and file-backed).
 * **Crash safety** — a SIGKILL at any journaled phase leaves the published
   version untouched; rerunning the same update resumes (or restarts) and
   converges to the same bytes.  Silent patch corruption (an injected skipped
@@ -329,7 +329,7 @@ class TestVersionedStore:
 # incremental re-propagation: bit identity
 # --------------------------------------------------------------------------- #
 class TestApplyUpdate:
-    @pytest.mark.parametrize("layout", ["packed", "hops"])
+    @pytest.mark.parametrize("layout", ["packed"])
     def test_chained_updates_bit_identical(self, tmp_path, layout):
         graph = scenario_graph()
         rng = np.random.default_rng(0)
@@ -464,6 +464,20 @@ class TestApplyUpdate:
         )
         assert _update_fingerprint(parts, "base") == "aa343279f979517e7888dda43031859a"
         assert _update_fingerprint(parts, "v0001") == "caf7c4bf508e99908077c1ddf250be44"
+
+    def test_legacy_store_is_rejected_without_side_effects(
+        self, tmp_path, tiny_graph, legacy_store
+    ):
+        """A per-hop store from an older release is refused before any staging
+        directory or version is created, and is left as it was."""
+        root = legacy_store(tmp_path / "store", "hops", num_rows=8)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        features = np.ones((8, 2), dtype=np.float32)
+        delta = GraphDelta(insertions=np.array([[0, 2]]))
+        with pytest.raises(ValueError, match="re-run preprocessing"):
+            apply_update(root, tiny_graph, features, delta, PropagationConfig(num_hops=2))
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
     def test_noop_when_frontier_misses_stored_rows(self, tmp_path):
         # two 4-cycles with no path between them; store only covers the first

@@ -70,15 +70,11 @@ def store_and_labels(prepared_store, small_dataset):
 
 @pytest.fixture()
 def file_backed(small_dataset, tmp_path):
-    """One store per on-disk layout, over identical features."""
-    stores = {}
-    for layout in ("hops", "packed"):
-        result = PreprocessingPipeline(
-            PropagationConfig(num_hops=2), root=tmp_path / layout, store_layout=layout
-        ).run(small_dataset)
-        stores[layout] = result.store
-    labels = small_dataset.labels[stores["hops"].node_ids]
-    return stores, labels
+    """A store persisted to (and memory-mappable from) ``packed.npy``."""
+    store = PreprocessingPipeline(PropagationConfig(num_hops=2), root=tmp_path / "store").run(
+        small_dataset
+    ).store
+    return store, small_dataset.labels[store.node_ids]
 
 
 class TestEquivalence:
@@ -96,19 +92,21 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("strategy", ["baseline", "fused", "chunk"])
     def test_bit_identical_file_backed_hops(self, file_backed, strategy):
-        stores, labels = file_backed
-        expected = _materialize_epoch(build_loader(strategy, stores["hops"], labels, 128, seed=5))
+        store, labels = file_backed
+        expected = _materialize_epoch(build_loader(strategy, store, labels, 128, seed=5))
         with MultiProcessLoader(
-            build_loader(strategy, stores["hops"], labels, 128, seed=5), num_workers=2
+            build_loader(strategy, store, labels, 128, seed=5), num_workers=2
         ) as loader:
             _assert_epochs_identical(expected, _materialize_epoch(loader))
 
-    @pytest.mark.parametrize("layout", ["hops", "packed"])
-    def test_bit_identical_storage(self, file_backed, layout):
-        stores, labels = file_backed
-        expected = _materialize_epoch(build_loader("storage", stores[layout], labels, 128, seed=7))
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    def test_bit_identical_storage(self, file_backed, packed):
+        store, labels = file_backed
+        expected = _materialize_epoch(
+            build_loader("storage", store, labels, 128, seed=7, packed=packed)
+        )
         with MultiProcessLoader(
-            build_loader("storage", stores[layout], labels, 128, seed=7), num_workers=2
+            build_loader("storage", store, labels, 128, seed=7, packed=packed), num_workers=2
         ) as loader:
             _assert_epochs_identical(expected, _materialize_epoch(loader))
 
@@ -277,14 +275,12 @@ class TestLifecycle:
             next(loader.epoch())
 
     def test_shared_store_is_zero_copy_for_file_backed(self, file_backed):
-        stores, _ = file_backed
+        store, _ = file_backed
         before = _shm_entries()
-        with SharedPackedStore(stores["packed"]) as shared:
+        with SharedPackedStore(store) as shared:
             assert shared.handle.kind == "memmap_packed"
+            assert shared.handle.path == str(store.packed_path)
             assert _shm_entries() - before == set()  # memmap attach: no segment
-        with SharedPackedStore(stores["hops"]) as shared:
-            assert shared.handle.kind == "memmap_hops"
-            assert _shm_entries() - before == set()
 
 
 def _bad_schedule(num_rows):
