@@ -10,31 +10,44 @@ Chunk size 1 recovers plain SGD with random reshuffling (SGD-RR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, new_rng
 
 
-@dataclass(frozen=True)
 class BatchSchedule:
     """One epoch's worth of mini-batch row indices.
 
     ``batches[i]`` are row indices into the feature store; ``chunk_runs[i]``
     lists the contiguous ``(start, stop)`` runs that compose the batch, which
-    the chunk loader uses to issue one bulk copy per run.
+    the chunk and storage loaders use to issue one bulk copy per run.  The runs
+    are derived on first access (in batch order for SGD-CR, over the sorted
+    rows for SGD-RR), so an epoch whose loader never reads them never builds
+    them; passing ``chunk_runs`` supplies them up front.
     """
 
-    batches: List[np.ndarray]
-    chunk_runs: List[List[tuple[int, int]]]
-    method: str
-    chunk_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.batches) != len(self.chunk_runs):
+    def __init__(
+        self,
+        batches: List[np.ndarray],
+        method: str,
+        chunk_size: int,
+        chunk_runs: Optional[List[List[tuple[int, int]]]] = None,
+    ) -> None:
+        if chunk_runs is not None and len(batches) != len(chunk_runs):
             raise ValueError("batches and chunk_runs must align")
+        self.batches = batches
+        self.method = method
+        self.chunk_size = chunk_size
+        self._chunk_runs = chunk_runs
+
+    @property
+    def chunk_runs(self) -> List[List[tuple[int, int]]]:
+        if self._chunk_runs is None:
+            ordered = np.sort if self.method == "rr" else np.asarray
+            self._chunk_runs = [_runs_from_indices(ordered(batch)) for batch in self.batches]
+        return self._chunk_runs
 
     @property
     def num_batches(self) -> int:
@@ -46,7 +59,7 @@ class BatchSchedule:
 
     def transfers_per_batch(self) -> float:
         """Average number of contiguous runs (bulk copies) per batch."""
-        if not self.chunk_runs:
+        if not self.batches:
             return 0.0
         return float(np.mean([len(runs) for runs in self.chunk_runs]))
 
@@ -89,8 +102,7 @@ def sgd_rr_schedule(
         if drop_last and batch.size < batch_size:
             break
         batches.append(batch)
-    runs = [_runs_from_indices(np.sort(batch)) for batch in batches]
-    return BatchSchedule(batches=batches, chunk_runs=runs, method="rr", chunk_size=1)
+    return BatchSchedule(batches=batches, method="rr", chunk_size=1)
 
 
 def chunk_reshuffle_schedule(
@@ -131,8 +143,7 @@ def chunk_reshuffle_schedule(
         if drop_last and batch.size < batch_size:
             break
         batches.append(batch)
-    runs = [_runs_from_indices(batch) for batch in batches]
-    return BatchSchedule(batches=batches, chunk_runs=runs, method="cr", chunk_size=chunk_size)
+    return BatchSchedule(batches=batches, method="cr", chunk_size=chunk_size)
 
 
 def schedule_for_method(

@@ -32,20 +32,30 @@ block (see :mod:`repro.prepropagation.store`):
   see :mod:`repro.dataloading.prefetch`).
 
 Passing ``packed=False, reuse_buffers=False`` restores the seed (naive)
-assembly path exactly — the reference the loader-throughput benchmark
-measures against.  Batches are bit-identical between the two paths for the
-same seed.
+assembly path exactly.  Batches are bit-identical between the two paths for
+the same seed.
+
+Input selection
+---------------
+A model may read fewer matrices than the store holds (SGC reads only the
+deepest hop).  :meth:`PPGNNLoader.select_inputs` narrows every optimized
+strategy, packed or not, to the contiguous range the model names
+(:attr:`~repro.models.base.PPGNNModel.inputs`): buffers are sized for it and
+only its matrices are gathered, through a slice view of the store, so the
+rest are never read.  A loader never told yields all ``M`` matrices; the
+baseline loader always does.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.dataloading.batching import BatchSchedule, schedule_for_method
-from repro.prepropagation.store import FeatureStore
+from repro.prepropagation.store import FeatureStore, input_slice
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.timer import TimeAccumulator
 
@@ -101,6 +111,9 @@ class PPGNNLoader:
     strategy_name = "base"
     #: whether this strategy supports the packed single-kernel assembly path
     supports_packed = True
+    #: whether assembly copies the schedule's contiguous runs (SGD-CR loaders);
+    #: other strategies never make the schedule build them
+    reads_runs = False
 
     def __init__(
         self,
@@ -133,6 +146,8 @@ class PPGNNLoader:
             raise ValueError(f"{type(self).__name__} does not support the packed assembly path")
         self.reuse_buffers = bool(reuse_buffers)
         self.num_buffers = int(num_buffers)
+        #: positions of the store matrices each batch carries (see select_inputs)
+        self.inputs = range(store.num_matrices)
         self._ring: Optional[_BufferRing] = None
         if self.packed:
             # materialize (or map) the packed block now: a one-time setup cost
@@ -142,8 +157,24 @@ class PPGNNLoader:
     # ------------------------------------------------------------------ #
     def _prepare_packed(self) -> None:
         self.store.packed_matrix()
+
+    def select_inputs(self, inputs: range) -> None:
+        """Assemble only the store matrices ``inputs`` names, a contiguous range.
+
+        The trainer passes its model's :attr:`~repro.models.base.PPGNNModel.inputs`
+        before wrapping the loader in workers or prefetch, so every tier sizes
+        its buffers for, and gathers, just those matrices.
+        """
+        input_slice(inputs, self.store.num_matrices)  # rejects a bad range here, not mid-epoch
+        self.inputs = inputs
+        self._ring = None  # buffers are sized by the selection
+
+    @property
+    def _selection(self) -> slice:
+        return input_slice(self.inputs, self.store.num_matrices)
+
     def _acquire_block(self, num_rows: int) -> np.ndarray:
-        """Return a ``(num_matrices, num_rows, F)`` assembly target.
+        """Return a ``(len(inputs), num_rows, F)`` assembly target.
 
         With ``reuse_buffers`` the block comes from the preallocated ring
         (zero allocation in steady state); otherwise a fresh array is
@@ -152,7 +183,7 @@ class PPGNNLoader:
         if self.reuse_buffers:
             if self._ring is None:
                 self._ring = _BufferRing(
-                    self.store.num_matrices,
+                    len(self.inputs),
                     self.batch_size,
                     self.store.feature_dim,
                     self.store.dtype,
@@ -160,7 +191,7 @@ class PPGNNLoader:
                 )
             return self._ring.acquire(num_rows)
         return np.empty(
-            (self.store.num_matrices, num_rows, self.store.feature_dim), dtype=self.store.dtype
+            (len(self.inputs), num_rows, self.store.feature_dim), dtype=self.store.dtype
         )
 
     def epoch_schedule(self) -> BatchSchedule:
@@ -172,13 +203,16 @@ class PPGNNLoader:
             seed=self.rng,
         )
 
-    def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
+    def _assemble(
+        self, rows: np.ndarray, runs: Optional[list[tuple[int, int]]]
+    ) -> List[np.ndarray]:
         raise NotImplementedError
 
     def epoch(self) -> Iterator[PPGNNBatch]:
         """Yield all batches of one epoch, recording assembly time."""
         schedule = self.epoch_schedule()
-        for rows, runs in zip(schedule.batches, schedule.chunk_runs):
+        chunk_runs = schedule.chunk_runs if self.reads_runs else itertools.repeat(None)
+        for rows, runs in zip(schedule.batches, chunk_runs):
             with self.timing.measure("batch_assembly"):
                 hop_features = self._assemble(rows, runs)
             yield PPGNNBatch(row_indices=rows, hop_features=hop_features, labels=self.labels[rows])
@@ -205,8 +239,9 @@ class PPGNNLoader:
     def _fill_runs(self, source: np.ndarray, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
         """Copy contiguous ``runs`` from a packed source into an assembly block.
 
-        One bulk slice copy per run covers *all* hop matrices at once — the
-        replica of the per-run DMA transfers of GPU-side chunk assembly.
+        One bulk slice copy per run covers *all* selected hop matrices at
+        once — the replica of the per-run DMA transfers of GPU-side chunk
+        assembly.
         """
         block = self._acquire_block(rows.size)
         offset = 0
@@ -223,13 +258,18 @@ class BaselineLoader(PPGNNLoader):
     Every row of every hop matrix is copied with an individual operation —
     the kernel-launch-bound behaviour the paper identifies as the dominant
     overhead of the vanilla PP-GNN implementations.  This loader is the
-    profiled pathology and intentionally has no packed fast path.
+    profiled pathology and intentionally has no packed fast path, nor input
+    selection: it always collates every stored matrix and the model picks its
+    inputs from the full list.
     """
 
     strategy_name = "baseline"
     supports_packed = False
 
-    def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
+    def select_inputs(self, inputs: range) -> None:
+        """Ignored: the profiled pathology collates every stored matrix."""
+
+    def _assemble(self, rows: np.ndarray, runs: None) -> List[np.ndarray]:
         matrices = self.store.matrices()
         out: List[np.ndarray] = []
         for matrix in matrices:
@@ -250,12 +290,12 @@ class FusedLoader(PPGNNLoader):
 
     strategy_name = "fused"
 
-    def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
+    def _assemble(self, rows: np.ndarray, runs: None) -> List[np.ndarray]:
         if self.packed:
             block = self._acquire_block(rows.size)
-            self.store.gather_packed(rows, out=block)
+            self.store.gather_packed(rows, out=block, inputs=self.inputs)
             return list(block)
-        return self.store.gather(rows)
+        return self.store.gather(rows, inputs=self.inputs)
 
 
 def _copy_runs(matrix: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
@@ -280,6 +320,7 @@ class ChunkReshuffleLoader(PPGNNLoader):
     """
 
     strategy_name = "chunk"
+    reads_runs = True
 
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("method", "cr")
@@ -292,8 +333,8 @@ class ChunkReshuffleLoader(PPGNNLoader):
 
     def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
         if self.packed:
-            return self._fill_runs(self.store.packed_matrix(), rows, runs)
-        return [_copy_runs(matrix, runs) for matrix in self.store.matrices()]
+            return self._fill_runs(self.store.packed_matrix()[self._selection], rows, runs)
+        return [_copy_runs(matrix, runs) for matrix in self.store.matrices()[self._selection]]
 
 
 class StorageLoader(PPGNNLoader):
@@ -309,6 +350,7 @@ class StorageLoader(PPGNNLoader):
     """
 
     strategy_name = "storage"
+    reads_runs = True
 
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("method", "cr")
@@ -326,9 +368,10 @@ class StorageLoader(PPGNNLoader):
         pass  # the mapped file is the packed block
 
     def _assemble(self, rows: np.ndarray, runs: list[tuple[int, int]]) -> List[np.ndarray]:
+        selected = self._mapped[self._selection]  # a view: unselected slabs are never read
         if self.packed:
-            return self._fill_runs(self._mapped, rows, runs)
-        return [_copy_runs(matrix, runs) for matrix in self._mapped]
+            return self._fill_runs(selected, rows, runs)
+        return [_copy_runs(matrix, runs) for matrix in selected]
 
 
 LOADER_CLASSES = {

@@ -12,8 +12,9 @@ that possible:
   storage-resident data stays storage-resident.  Either way a worker reads one
   ``(M, N, F)`` block and assembles a batch with one gather.
 * :class:`SlotRing` — a ring of ``(M, batch_size, F)`` batch slots in one
-  shared segment.  Workers assemble batches straight into a slot and hand the
-  *slot index* back over a queue; the consumer reads the slot as a NumPy view.
+  shared segment, ``M`` counting only the matrices the model reads.  Workers
+  assemble batches straight into a slot and hand the *slot index* back over a
+  queue; the consumer reads the slot as a NumPy view.
 
 Both ends of the pipe use :class:`StoreHandle` / :class:`SlotHandle` — small
 picklable descriptors holding segment names, paths, shapes and dtypes — as
@@ -48,7 +49,7 @@ from typing import Optional, Tuple
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.prepropagation.store import FeatureStore
+from repro.prepropagation.store import FeatureStore, input_slice
 from repro.utils.logging import get_logger
 
 logger = get_logger("dataloading.shm")
@@ -273,13 +274,14 @@ class AttachedStore:
     """Worker-side read view of the packed block, whatever its transport.
 
     ``gather_into(rows, out)`` fills ``out[m, i] = block[m, rows[i]]`` for all
-    matrices with one ``np.take`` — byte-for-byte the values every loader
-    strategy assembles, so worker-built batches are bit-identical to the
-    single-process paths.
+    matrices (or the contiguous ``inputs`` range of them) with one
+    ``np.take`` — byte-for-byte the values every loader strategy assembles,
+    so worker-built batches are bit-identical to the single-process paths.
     """
 
     def __init__(self, handle: StoreHandle) -> None:
         self._attachment: Optional[Attachment] = None
+        self.num_matrices = handle.shape[0]
         self.num_rows = handle.shape[1]
         if handle.kind == "shm":
             self._attachment = Attachment(handle.shm_name, handle.shape, handle.dtype)
@@ -289,11 +291,14 @@ class AttachedStore:
         else:
             raise ValueError(f"unknown store handle kind {handle.kind!r}")
 
-    def gather_into(self, rows: np.ndarray, out: np.ndarray) -> None:
+    def gather_into(self, rows: np.ndarray, out: np.ndarray, inputs: Optional[range] = None) -> None:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise IndexError(f"row indices out of range [0, {self.num_rows})")
-        np.take(self._packed, rows, axis=1, out=out, mode="clip")
+        selected = (
+            self._packed if inputs is None else self._packed[input_slice(inputs, self.num_matrices)]
+        )
+        np.take(selected, rows, axis=1, out=out, mode="clip")
 
     def close(self) -> None:
         self._packed = None

@@ -99,6 +99,7 @@ def _worker_main(
     stop_event,
     heartbeats,
     fault_plan: Optional[FaultPlan],
+    inputs: range,
 ) -> None:
     """Worker process body: attach shared state, assemble assigned batches."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # shutdown is the parent's call
@@ -138,7 +139,7 @@ def _worker_main(
                     batch_index=batch_index,
                 )
                 began = time.perf_counter()
-                store.gather_into(rows, slots[slot_id, :, : rows.size])
+                store.gather_into(rows, slots[slot_id, :, : rows.size], inputs)
                 elapsed = time.perf_counter() - began
                 heartbeats[worker_id] = time.monotonic()
                 result_queue.put((_BATCH, epoch_id, batch_index, slot_id, rows.size, elapsed))
@@ -280,11 +281,14 @@ class MultiProcessLoader:
         self._ctx = ctx = mp.get_context(default_start_method(start_method))
 
         store = loader.store
+        #: the wrapped loader's input selection, fixed for the pool's lifetime:
+        #: slots are sized for it and every worker (respawns too) gathers it
+        self.inputs = loader.inputs
         self._shared_store = SharedPackedStore(store)
         self._slots_per_worker = keep + 1
         self._slot_ring = SlotRing(
             num_slots=num_workers * self._slots_per_worker,
-            num_matrices=store.num_matrices,
+            num_matrices=len(self.inputs),
             batch_size=loader.batch_size,
             feature_dim=store.feature_dim,
             dtype=store.dtype,
@@ -328,6 +332,7 @@ class MultiProcessLoader:
                 self._stop,
                 self._heartbeats,
                 self.fault_plan,
+                self.inputs,
             ),
             name=f"ppgnn-loader-{worker_id}",
             daemon=True,
@@ -496,11 +501,9 @@ class MultiProcessLoader:
         if self._parent_store is None:
             self._parent_store = attach_store(self._shared_store.handle)
         store = self.loader.store
-        block = np.empty(
-            (store.num_matrices, rows.size, store.feature_dim), dtype=store.dtype
-        )
+        block = np.empty((len(self.inputs), rows.size, store.feature_dim), dtype=store.dtype)
         began = time.perf_counter()
-        self._parent_store.gather_into(rows, block)
+        self._parent_store.gather_into(rows, block, self.inputs)
         elapsed = time.perf_counter() - began
         self.counters.inline_batches += 1
         self.assembly_times.append(elapsed)

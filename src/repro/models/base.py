@@ -12,7 +12,7 @@ Two model families with different batch formats:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -25,8 +25,9 @@ class PPGNNModel(Module):
     """Base class for pre-propagation models.
 
     Subclasses must set ``num_hops`` and ``num_kernels`` (which determine the
-    expected number of input matrices, ``num_kernels * (num_hops + 1)``) and
-    implement :meth:`forward`.
+    number of stored matrices, ``num_kernels * (num_hops + 1)``) and implement
+    :meth:`forward`; one that reads fewer matrices than the store holds
+    narrows :attr:`inputs`.
     """
 
     num_hops: int = 0
@@ -34,29 +35,55 @@ class PPGNNModel(Module):
 
     @property
     def num_inputs(self) -> int:
-        """Number of hop matrices this model expects per batch."""
+        """Number of hop matrices the store holds for this model."""
         return self.num_kernels * (self.num_hops + 1)
 
-    def check_inputs(
-        self, hop_feats: Sequence[np.ndarray | Tensor], use: Optional[Sequence[int]] = None
-    ) -> List[Tensor]:
-        """Validate the per-hop inputs and wrap them as tensors without copying.
+    @property
+    def inputs(self) -> range:
+        """Positions of the store matrices :meth:`forward` reads (default: all).
 
-        Count and batch size are checked on the raw arrays; ``use`` names the
-        positions ``forward`` reads (default: all), and only those are wrapped.
-        A wrapped loader buffer is read in place, in its own dtype: it must
+        One contiguous range into the ``num_inputs`` matrices; the trainer's
+        loading pipeline assembles only these.
+        """
+        return range(self.num_inputs)
+
+    def check_store(self, store) -> None:
+        """Reject a feature store shaped for another model.
+
+        :attr:`inputs` are positions into the store's matrices, so a store
+        with a different count would silently feed the wrong hops.
+        """
+        if store.num_matrices != self.num_inputs:
+            raise ValueError(
+                f"{type(self).__name__} expects {self.num_inputs} hop matrices, "
+                f"the store holds {store.num_matrices}"
+            )
+
+    def check_inputs(self, hop_feats: Sequence[np.ndarray | Tensor]) -> List[Tensor]:
+        """Validate the hop inputs; wrap the ones :attr:`inputs` names as tensors, without copying.
+
+        ``hop_feats`` is either all ``num_inputs`` matrices (``Session.loader()``,
+        a gathered block), from which the ``inputs`` positions are taken, or
+        exactly the ``inputs`` selection (what the trainer's loaders
+        assemble).  Count and batch size are checked on the raw arrays.  A
+        wrapped loader buffer is read in place, in its own dtype: it must
         stay untouched until this batch's backward pass has run, which the
         loaders' buffer rings guarantee (the batch the consumer holds is never
         reassembled; ``depth + 2`` buffers under prefetching).
         """
-        if len(hop_feats) != self.num_inputs:
+        inputs = self.inputs
+        if len(hop_feats) == self.num_inputs:
+            used = hop_feats[inputs.start : inputs.stop]
+        elif len(hop_feats) == len(inputs):
+            used = hop_feats
+        else:
             raise ValueError(
-                f"{type(self).__name__} expects {self.num_inputs} hop matrices, got {len(hop_feats)}"
+                f"{type(self).__name__} expects {self.num_inputs} hop matrices "
+                f"(or the {len(inputs)} it reads), got {len(hop_feats)}"
             )
         batch_sizes = {np.shape(x)[0] for x in hop_feats}
         if len(batch_sizes) != 1:
             raise ValueError(f"hop matrices disagree on batch size: {sorted(batch_sizes)}")
-        used = hop_feats if use is None else [hop_feats[i] for i in use]
         return [x if isinstance(x, Tensor) else Tensor(x) for x in used]
 
     def forward(self, hop_feats: Sequence[np.ndarray | Tensor]) -> Tensor:  # pragma: no cover

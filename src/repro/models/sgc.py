@@ -40,8 +40,13 @@ class SGC(PPGNNModel):
         self.dropout = Dropout(dropout, seed=seed) if dropout > 0 else None
         self.linear = Linear(in_features, num_classes, seed=seed)
 
+    @property
+    def inputs(self) -> range:
+        """Only the deepest hop ``B^R X``."""
+        return range(self.num_inputs - 1, self.num_inputs)
+
     def forward(self, hop_feats: Sequence[np.ndarray | Tensor]) -> Tensor:
-        (x,) = self.check_inputs(hop_feats, use=(-1,))  # only the deepest hop is used
+        (x,) = self.check_inputs(hop_feats)
         if self.dropout is not None:
             x = self.dropout(x)
         return self.linear(x)

@@ -107,6 +107,27 @@ def store_meta(
     }
 
 
+def input_slice(inputs: Optional[range], num_matrices: int) -> slice:
+    """The basic slice of a store's ``num_matrices`` matrices that ``inputs`` names.
+
+    ``inputs`` is a model's contiguous range of input positions
+    (:attr:`~repro.models.base.PPGNNModel.inputs`); ``None`` means all of
+    them.  Returning a slice keeps every selection a view of the packed
+    block, never a fancy-index copy of the store.
+    """
+    if inputs is None:
+        return slice(0, num_matrices)
+    if (
+        not isinstance(inputs, range)
+        or inputs.step != 1
+        or not 0 <= inputs.start < inputs.stop <= num_matrices
+    ):
+        raise ValueError(
+            f"inputs must be a non-empty contiguous range within [0, {num_matrices}), got {inputs!r}"
+        )
+    return slice(inputs.start, inputs.stop)
+
+
 def _take_rows(packed: np.ndarray, row_indices: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     """``np.take`` over axis 1 with explicit bounds checking.
 
@@ -197,18 +218,26 @@ class HopFeatures:
             ]
         return self._packed
 
-    def gather(self, row_indices: np.ndarray) -> List[np.ndarray]:
-        """Gather the given rows from every hop matrix (the batch-assembly op)."""
+    def gather(self, row_indices: np.ndarray, inputs: Optional[range] = None) -> List[np.ndarray]:
+        """Gather the given rows from every hop matrix ``inputs`` names (default: all)."""
         row_indices = np.asarray(row_indices, dtype=np.int64)
-        return [m[row_indices] for m in self.hop_list()]
+        hops = self.hop_list()
+        return [m[row_indices] for m in hops[input_slice(inputs, len(hops))]]
 
-    def gather_packed(self, row_indices: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gather rows from all matrices with one fused ``np.take`` kernel.
+    def gather_packed(
+        self,
+        row_indices: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        inputs: Optional[range] = None,
+    ) -> np.ndarray:
+        """Gather rows from the selected matrices with one fused ``np.take`` kernel.
 
-        Returns the ``(num_matrices, len(row_indices), F)`` block; ``out``
-        enables zero-allocation assembly into a preallocated batch buffer.
+        Returns the ``(len(inputs), len(row_indices), F)`` block (all matrices
+        by default); ``out`` enables zero-allocation assembly into a
+        preallocated batch buffer.
         """
-        return _take_rows(self.packed(), row_indices, out)
+        packed = self.packed()
+        return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
 
     def restrict(self, row_indices: np.ndarray) -> "HopFeatures":
         """Return a new HopFeatures containing only ``row_indices`` rows."""
@@ -352,26 +381,32 @@ class FeatureStore:
             return np.load(self.packed_path, mmap_mode="r")
         return self._features.packed()
 
-    def gather(self, row_indices: np.ndarray, memmap: bool = False) -> List[np.ndarray]:
-        """Fetch the given rows from every hop matrix."""
+    def gather(
+        self, row_indices: np.ndarray, memmap: bool = False, inputs: Optional[range] = None
+    ) -> List[np.ndarray]:
+        """Fetch the given rows from every hop matrix ``inputs`` names (default: all)."""
         if memmap:
-            return list(self.gather_packed(row_indices, memmap=True))
-        return self._features.gather(row_indices)
+            return list(self.gather_packed(row_indices, memmap=True, inputs=inputs))
+        return self._features.gather(row_indices, inputs=inputs)
 
     def gather_packed(
         self,
         row_indices: np.ndarray,
         out: Optional[np.ndarray] = None,
         memmap: bool = False,
+        inputs: Optional[range] = None,
     ) -> np.ndarray:
-        """Single-kernel gather of ``row_indices`` across all hop matrices.
+        """Single-kernel gather of ``row_indices`` across the selected hop matrices.
 
-        Returns (or fills ``out`` with) the ``(num_matrices, B, F)`` batch
-        block; the fused fast path of the optimized loaders.
+        Returns (or fills ``out`` with) the ``(len(inputs), B, F)`` batch
+        block, all ``num_matrices`` by default; the fused fast path of the
+        optimized loaders.  ``inputs`` (a model's input range) selects a
+        contiguous view of the block, so unselected matrices are never read.
         """
         if memmap:
-            return _take_rows(self.packed_matrix(memmap=True), row_indices, out)
-        return self._features.gather_packed(row_indices, out=out)
+            packed = self.packed_matrix(memmap=True)
+            return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
+        return self._features.gather_packed(row_indices, out=out, inputs=inputs)
 
     def iter_chunks(self, chunk_size: int) -> Iterator[tuple[np.ndarray, List[np.ndarray]]]:
         """Iterate (row_indices, hop matrices) over contiguous row chunks."""

@@ -163,6 +163,8 @@ class ServingEngine:
         model=None,
         store_version: str = "base",
     ) -> None:
+        if model is not None:
+            model.check_store(store)
         self.store = store
         self.config = config if config is not None else ServingConfig()
         self._model = model
@@ -233,10 +235,18 @@ class ServingEngine:
     gather_direct = fetch
 
     def predict(self, rows: Sequence[int]) -> np.ndarray:
-        """Class predictions for ``rows`` via the attached PP-GNN model."""
+        """Class predictions for ``rows`` via the attached PP-GNN model.
+
+        The gather reads only the model's :attr:`~repro.models.base.PPGNNModel.inputs`
+        matrices, under the same lock and fault point as :meth:`fetch`.
+        """
         if self._model is None:
             raise RuntimeError("this engine was built without a model; predictions unavailable")
-        feats = self.fetch(rows)
+        inputs = self._model.inputs
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        feats = np.empty((len(inputs), rows.size, self.feature_dim), dtype=self.dtype)
+        with self._gather_lock:
+            self._gather_rows(rows, feats, inputs)
         self._model.eval()
         logits = self._model(feats)
         return np.argmax(logits.data, axis=-1)
@@ -601,10 +611,13 @@ class ServingEngine:
             for future, _, _ in entry.futures:
                 self._resolve(future, block)
 
-    def _gather_rows(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Fill ``out`` with the store blocks for ``rows``; caller holds ``_gather_lock``."""
+    def _gather_rows(
+        self, rows: np.ndarray, out: np.ndarray, inputs: Optional[range] = None
+    ) -> None:
+        """Fill ``out`` with the store blocks for ``rows`` (the ``inputs`` matrices
+        only, when given); caller holds ``_gather_lock``."""
         fault_point("serve.gather", num_rows=int(rows.size))
-        self._attached.gather_into(rows, out)
+        self._attached.gather_into(rows, out, inputs)
 
     # ------------------------------------------------------------------ #
     # zero-downtime store version swap (epoch protection)

@@ -89,7 +89,12 @@ class PPGNNTrainer:
 
     The loader determines the batch-assembly strategy and the training method
     (SGD-RR or chunk reshuffling); the trainer only sees identical
-    ``(hop features, labels)`` batches either way.
+    ``(hop features, labels)`` batches either way.  Before building its
+    loading pipeline the trainer hands the model's
+    :attr:`~repro.models.base.PPGNNModel.inputs` to the loader, so every tier
+    (buffer ring, worker slots, prefetch queue) assembles only the matrices
+    the model reads, and evaluation gathers only those too.  A loader passed
+    in already wrapped (workers or prefetch) keeps yielding all matrices.
     """
 
     def __init__(
@@ -99,9 +104,12 @@ class PPGNNTrainer:
         dataset: NodeClassificationDataset,
         config: TrainerConfig,
     ) -> None:
+        model.check_store(loader.store)
         # train in the precision the store was written in (before the
         # optimizer allocates its moments)
         self.model = model.to(loader.store.dtype)
+        if isinstance(loader, PPGNNLoader):
+            loader.select_inputs(model.inputs)
         self.loader = loader
         self.dataset = dataset
         self.config = config
@@ -158,7 +166,7 @@ class PPGNNTrainer:
         with no_grad():
             for start in range(0, rows.size, self.config.eval_batch_size):
                 chunk = rows[start : start + self.config.eval_batch_size]
-                feats = self.loader.store.gather(chunk)
+                feats = self.loader.store.gather(chunk, inputs=self.model.inputs)
                 logits = self.model(feats)
                 pred = np.argmax(logits.data, axis=-1)
                 correct += int((pred == self._store_labels[chunk]).sum())

@@ -120,6 +120,28 @@ class TestLoaders:
         assert merged.size == store.num_rows
         assert len(np.unique(merged)) == store.num_rows
 
+    def test_rr_epoch_builds_no_run_lists(self, store_and_labels, monkeypatch):
+        """Only the SGD-CR loaders read the schedule's runs; an RR epoch never builds them."""
+        from repro.dataloading import batching
+
+        store, labels = store_and_labels
+        calls = []
+        runs_from_indices = batching._runs_from_indices
+
+        def counting(indices):
+            calls.append(indices.size)
+            return runs_from_indices(indices)
+
+        monkeypatch.setattr(batching, "_runs_from_indices", counting)
+        for packed in (True, False):
+            list(FusedLoader(store, labels, batch_size=128, seed=0, packed=packed).epoch())
+        assert calls == []
+        chunk = ChunkReshuffleLoader(store, labels, batch_size=128, seed=0)
+        assert sum(1 for _ in chunk.epoch()) == len(calls) == chunk.num_batches()
+        # on demand the RR runs are still there, built once per schedule
+        rr = sgd_rr_schedule(store.num_rows, 128, seed=0)
+        assert rr.transfers_per_batch() > 1 and rr.chunk_runs is rr.chunk_runs
+
     def test_loader_records_assembly_time(self, store_and_labels):
         store, labels = store_and_labels
         loader = FusedLoader(store, labels, batch_size=256, seed=0)

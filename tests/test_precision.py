@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.dataloading.loaders import FusedLoader
+from repro.dataloading.loaders import BaselineLoader, FusedLoader
 from repro.datasets.registry import load_dataset
 from repro.models import build_mp_model, build_pp_model
 from repro.models.sgc import SGC
@@ -284,9 +284,14 @@ def test_optimizer_state_follows_the_parameter_dtype(optimizer, dtype):
 def test_check_inputs_wraps_in_place_and_only_what_is_used():
     model = SGC(4, 3, num_hops=2, seed=0)
     hops = [np.ones((5, 4), dtype=np.float32) * i for i in range(3)]
-    (last,) = model.check_inputs(hops, use=(-1,))
-    assert np.shares_memory(last.data, hops[-1]) and last.dtype == np.float32
-    wrapped = model.check_inputs(hops)
+    assert model.inputs == range(2, 3)
+    # all stored matrices in, or exactly the selection: the deepest is wrapped in place
+    for feats in (hops, hops[2:]):
+        (last,) = model.check_inputs(feats)
+        assert np.shares_memory(last.data, hops[-1]) and last.dtype == np.float32
+    sign = build_pp_model("sign", in_features=4, num_classes=3, num_hops=2, seed=0)
+    assert sign.inputs == range(3)
+    wrapped = sign.check_inputs(hops)
     assert len(wrapped) == 3 and all(np.shares_memory(t.data, h) for t, h in zip(wrapped, hops))
     # validation still covers the matrices forward ignores
     with pytest.raises(ValueError, match="expects 3 hop matrices"):
@@ -361,6 +366,25 @@ def test_training_over_reused_buffers_is_bit_identical(name, prepared_store, sma
     assert all(np.isfinite(reference))
     assert losses(reuse_buffers=True, prefetch=True) == reference
     assert losses(reuse_buffers=True, prefetch=False) == reference
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_sgc_trained_on_its_selected_input_equals_training_on_every_matrix(dtype, small_dataset):
+    """The fused path assembles only SGC's hop; the baseline loader assembles
+    all of them and the model picks its own.  Same schedule, same bytes."""
+    store = PreprocessingPipeline(PropagationConfig(num_hops=2, dtype=dtype)).run(small_dataset).store
+    labels = small_dataset.labels[store.node_ids]
+
+    def parameters(loader_cls):
+        model = build_pp_model("sgc", small_dataset.num_features, small_dataset.num_classes, num_hops=2, seed=0)
+        loader = loader_cls(store, labels, batch_size=128, seed=0)
+        with PPGNNTrainer(model, loader, small_dataset, TrainerConfig(batch_size=128, seed=0)) as trainer:
+            for _ in range(4):
+                trainer.train_epoch()
+        assert loader.inputs == (model.inputs if loader_cls is FusedLoader else range(3))
+        return [p.data.tobytes() for p in model.parameters()]
+
+    assert parameters(FusedLoader) == parameters(BaselineLoader)
 
 
 # --------------------------------------------------------------------------- #

@@ -224,6 +224,61 @@ class TestPrefetchLoader:
         assert loader.strategy_name == "chunk+prefetch"
 
 
+#: every loading tier the trainer can build, as (loader kwargs, trainer kwargs)
+SELECTION_TIERS = {
+    "fused": (dict(strategy="fused"), {}),
+    "fused-unpacked": (dict(strategy="fused", packed=False), {}),
+    "chunk": (dict(strategy="chunk"), {}),
+    "chunk-unpacked": (dict(strategy="chunk", packed=False), {}),
+    "storage": (dict(strategy="storage"), {}),
+    "storage-unpacked": (dict(strategy="storage", packed=False), {}),
+    "reuse-buffers": (dict(strategy="fused", reuse_buffers=True, num_buffers=2), {}),
+    "prefetch": (dict(strategy="chunk", reuse_buffers=True, num_buffers=3), dict(prefetch=True)),
+    "workers": (dict(strategy="fused"), dict(num_workers=2)),
+    "workers-storage-prefetch": (dict(strategy="storage"), dict(num_workers=2, prefetch=True)),
+    "baseline": (dict(strategy="baseline"), {}),
+}
+
+
+class TestInputSelection:
+    """The trainer's loading pipeline assembles only the matrices its model reads."""
+
+    def _trainer_epoch(self, file_backed, small_dataset, model_name, tier):
+        store, labels = file_backed
+        loader_kwargs, trainer_kwargs = SELECTION_TIERS[tier]
+        loader = build_loader(store=store, labels=labels, batch_size=96, seed=3, **loader_kwargs)
+        model = build_pp_model(
+            model_name, small_dataset.num_features, small_dataset.num_classes, num_hops=2, seed=0
+        )
+        config = TrainerConfig(num_epochs=1, batch_size=96, seed=0, **trainer_kwargs)
+        with PPGNNTrainer(model, loader, small_dataset, config) as trainer:
+            return model, _materialize_epoch(trainer._source)
+
+    @pytest.mark.parametrize("tier", sorted(SELECTION_TIERS))
+    def test_sgc_batches_are_the_selected_slice(self, file_backed, small_dataset, tier):
+        store, _ = file_backed
+        model, batches = self._trainer_epoch(file_backed, small_dataset, "sgc", tier)
+        assert model.inputs == range(store.num_matrices - 1, store.num_matrices)
+        # the baseline pathology keeps collating every stored matrix
+        wanted = range(store.num_matrices) if tier == "baseline" else model.inputs
+        assert sum(rows.size for rows, _, _ in batches) == store.num_rows
+        for rows, feats, _ in batches:
+            expected = store.gather_packed(rows)[wanted.start : wanted.stop]
+            got = np.stack(feats)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tier", ["fused", "workers"])
+    @pytest.mark.parametrize("model_name", ["sign", "hoga"])
+    def test_models_reading_every_hop_get_every_matrix(
+        self, file_backed, small_dataset, model_name, tier
+    ):
+        store, _ = file_backed
+        model, batches = self._trainer_epoch(file_backed, small_dataset, model_name, tier)
+        assert model.inputs == range(store.num_matrices)
+        for rows, feats, _ in batches:
+            assert np.stack(feats).tobytes() == store.gather_packed(rows).tobytes()
+
+
 class TestTrainerPrefetch:
     def _train(self, prepared_store, small_dataset, prefetch, **loader_kwargs):
         store = prepared_store.store

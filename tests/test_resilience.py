@@ -514,6 +514,45 @@ class TestSelfHealingLoader:
         assert snapshot["requeued_batches"] >= 1
         assert snapshot["inline_batches"] == 0  # budget never ran out
 
+    @pytest.mark.parametrize("max_respawns", [2, 0], ids=["respawned", "degraded"])
+    def test_sigkilled_worker_keeps_the_model_input_selection(self, store_and_labels, max_respawns):
+        """An SGC selection survives the respawn hand-off and inline assembly."""
+        store, labels = store_and_labels
+        inputs = range(store.num_matrices - 1, store.num_matrices)  # SGC's deepest hop
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(
+                    site="loader.worker.batch",
+                    kind="kill",
+                    at_hit=2,
+                    match={"worker_id": 0, "generation": 0},
+                )
+            ]
+        )
+        policy = SupervisorPolicy(
+            max_respawns=max_respawns,
+            backoff_seconds=0.01,
+            stall_timeout_seconds=0.5,
+            batch_deadline_seconds=0.2,
+        )
+        reference = build_loader("fused", store, labels, batch_size=64, seed=11)
+        reference.select_inputs(inputs)
+        expected = [_materialize_epoch(reference) for _ in range(2)]
+        inner = build_loader("fused", store, labels, batch_size=64, seed=11)
+        inner.select_inputs(inputs)
+        with MultiProcessLoader(
+            inner, num_workers=2, keep=2, timeout_seconds=30.0, policy=policy, fault_plan=plan
+        ) as loader:
+            for epoch in expected:
+                got = _materialize_epoch(loader)
+                _assert_epochs_identical(epoch, got)
+                for rows, feats, _ in got:
+                    assert np.stack(feats).tobytes() == store.gather_packed(rows)[-1:].tobytes()
+            snapshot = loader.counters.snapshot()
+        assert snapshot["worker_crashes"] == 1
+        assert snapshot["respawns"] == min(max_respawns, 1)
+        assert (snapshot["inline_batches"] > 0) == (max_respawns == 0)
+
     def test_stalled_worker_is_killed_and_respawned(self, store_and_labels):
         store, labels = store_and_labels
         expected = _reference_epochs(store, labels)

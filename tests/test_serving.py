@@ -315,6 +315,31 @@ class TestServingFaults:
             expected = store.gather_packed(np.array([1], dtype=np.int64))[:, 0, :]
             assert np.array_equal(eng.submit(1).result(timeout=10), expected)
 
+    @pytest.mark.parametrize("model_name", ["sgc", "sign"])
+    def test_predict_reads_model_inputs_and_keeps_the_fault_point(
+        self, prepared_store, small_dataset, model_name
+    ):
+        from repro.models.registry import build_pp_model
+
+        store = prepared_store.store
+        model = build_pp_model(
+            model_name, small_dataset.num_features, small_dataset.num_classes, num_hops=2, seed=0
+        ).to(store.dtype)
+        rows = np.array([5, 0, 17, 5, store.num_rows - 1], dtype=np.int64)
+        plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="ioerror", at_hit=1)])
+        with ServingEngine(store, ServingConfig(), model=model) as eng:
+            with plan.active(), pytest.raises(OSError):
+                eng.predict(rows)
+            got = eng.predict(rows)
+        model.eval()
+        expected = np.argmax(model(store.gather_packed(rows)).data, axis=-1)
+        assert np.array_equal(got, expected)
+        shallow = build_pp_model(
+            model_name, small_dataset.num_features, small_dataset.num_classes, num_hops=1, seed=0
+        )
+        with pytest.raises(ValueError, match="expects 2 hop matrices"):
+            ServingEngine(store, ServingConfig(), model=shallow)
+
     def test_gather_ioerror_direct_path_propagates(self, prepared_store):
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="ioerror", at_hit=1)])
         with ServingEngine(prepared_store.store, ServingConfig()) as eng:

@@ -102,6 +102,43 @@ class TestPPGNNTrainer:
         assert set(metrics) == {"valid", "test"}
         assert 0.0 <= metrics["valid"] <= 1.0
 
+    @pytest.mark.parametrize("model_name", ["sgc", "sign"])
+    def test_evaluate_reads_only_model_inputs_and_matches_full_gather(
+        self, prepared_store, small_dataset, model_name, monkeypatch
+    ):
+        trainer = self._trainer(prepared_store, small_dataset, model_name=model_name, epochs=1)
+        trainer.train_epoch()
+        store = prepared_store.store
+        gather = store.gather
+        widths = []
+
+        def counting_gather(rows, **kwargs):
+            feats = gather(rows, **kwargs)
+            widths.append(len(feats))
+            return feats
+
+        monkeypatch.setattr(store, "gather", counting_gather)
+        metrics = trainer.evaluate()
+        assert set(widths) == {len(trainer.model.inputs)}
+        monkeypatch.undo()
+        # reference: every stored matrix gathered, the model picks its inputs
+        trainer.model.eval()
+        for split, rows in trainer._eval_rows.items():
+            assert rows.size <= trainer.config.eval_batch_size  # one chunk, same arithmetic
+            logits = trainer.model(store.gather(rows))
+            correct = np.argmax(logits.data, axis=-1) == trainer._store_labels[rows]
+            assert metrics[split] == correct.sum() / rows.size
+
+    def test_model_must_match_the_store(self, prepared_store, small_dataset):
+        """A model shaped for another store is refused before any input selection."""
+        store = prepared_store.store
+        labels = small_dataset.labels[store.node_ids]
+        model = build_pp_model("sgc", small_dataset.num_features, small_dataset.num_classes, num_hops=1)
+        loader = FusedLoader(store, labels, batch_size=256, seed=0)
+        with pytest.raises(ValueError, match="expects 2 hop matrices, the store holds 3"):
+            PPGNNTrainer(model, loader, small_dataset, TrainerConfig(batch_size=256))
+        assert loader.inputs == range(3)
+
     def test_chunk_reshuffle_trainer_accuracy_close_to_rr(self, prepared_store, small_dataset):
         """SGD-CR must train to comparable validation accuracy as SGD-RR (Fig. 8)."""
         rr = self._trainer(prepared_store, small_dataset, epochs=6, loader_cls=FusedLoader).fit()
