@@ -1,22 +1,26 @@
-"""Blocked, out-of-core pre-propagation: Eq. (2) without the ``O(N F)`` RAM.
+"""Blocked pre-propagation: Eq. (2) tiled over row blocks, straight into the store.
 
-:func:`~repro.prepropagation.propagator.propagate_features` materializes every
-dense ``(N, F)`` hop matrix (plus an accumulation-dtype working copy), then the
-pipeline throws away the unlabeled rows — peak memory ``O(K (R + 1) N F)`` for
-a store that only keeps the labeled subset.  This engine removes that wall:
+Every :class:`~repro.prepropagation.pipeline.PreprocessingPipeline` mode runs
+this engine; the modes differ only in block size.
 
 * the SpMM is **tiled over contiguous row blocks** of the CSR operator
   (:func:`~repro.graph.operators.operator_row_block` — zero-copy views, and a
   block-SpMM runs the exact per-row multiply-accumulate sequence of the full
-  product, so results are bit-identical to the in-core path);
-* hop ``r - 1 -> r`` is **double-buffered through two disk-backed scratch
-  memmaps** (ping/pong) instead of RAM-resident matrices — the resident
-  working set is a handful of ``(block_size, F)`` buffers;
-* each finished block's **labeled rows stream straight into the final store
-  file** (the packed ``(M, rows, F)`` ``packed.npy`` of
+  product, so results are bit-identical to
+  :func:`~repro.prepropagation.propagator.propagate_features`);
+* with **one block and no workers** (the in-core mode, or any plan whose
+  block covers the graph) the hop chain stays in RAM: each SpMM product is
+  the next hop's input as it is, so the run holds the store, the CSR
+  operators and at most two ``(N, F)`` accumulate-dtype hops — no scratch
+  file and no copy;
+* with more blocks, hop ``r - 1 -> r`` is **double-buffered through two
+  disk-backed scratch memmaps** (ping/pong) instead of RAM-resident
+  matrices — the resident working set is a handful of ``(block_size, F)``
+  buffers;
+* each finished block's **labeled rows stream straight into the packed
+  store block** (``(M, rows, F)``, the ``packed.npy`` of
   :class:`~repro.prepropagation.store.FeatureStore`), so the output is born
-  in the zero-copy layout the loaders memory-map — no post-hoc
-  ``HopFeatures.from_full_matrices`` restriction, no re-packing copy;
+  in the zero-copy layout the loaders gather from — no re-packing copy;
 * blocks optionally **fan out across a process pool** (the same
   fork-preferring, queue-driven worker shape as
   :mod:`repro.dataloading.workers`): workers write disjoint row ranges of the
@@ -28,7 +32,10 @@ a store that only keeps the labeled subset.  This engine removes that wall:
 
 Because sorted labeled node ids map each graph row block ``[s, e)`` to a
 *contiguous* store row range (``searchsorted``), every store write is one
-contiguous memmap slice assignment.
+contiguous slice assignment.  The store directory itself is published by
+:func:`~repro.prepropagation.store.write_store`, staged and swapped into
+place, so a failed run of any mode leaves the previous store at ``root``
+whole.
 
 Synchronization in the parallel path is phase-barriered: hop ``r`` of kernel
 ``k`` is dispatched to every worker and the parent waits for all completions
@@ -79,8 +86,9 @@ from repro.prepropagation.store import (
     FeatureStore,
     HopFeatures,
     check_layout,
-    read_store_meta,
-    store_meta,
+    fresh_staging,
+    map_store,
+    write_store,
 )
 from repro.resilience.checkpoint import (
     PhaseJournal,
@@ -104,7 +112,6 @@ _POLL_SECONDS = 0.05
 _DONE = 0
 _ERROR = 1
 
-
 # --------------------------------------------------------------------------- #
 # picklable recipes for re-opening shared arrays inside worker processes
 @dataclass(frozen=True)
@@ -121,12 +128,6 @@ def _open_array(spec: _ArraySpec) -> np.ndarray:
     if spec.npy:
         return np.load(spec.path, mmap_mode="r+")
     return np.memmap(spec.path, dtype=np.dtype(spec.dtype), mode="r+", shape=spec.shape)
-
-
-def _open_sink(spec: _ArraySpec) -> List[np.ndarray]:
-    """Return the flat kernel-major list of ``(rows, F)`` destination matrices."""
-    packed = _open_array(spec)
-    return [packed[m] for m in range(packed.shape[0])]
 
 
 def _open_or_create_memmap(path: Path, shape: Tuple[int, ...], dtype: np.dtype, reuse: bool):
@@ -165,6 +166,16 @@ def _hop_dest_tag(hop: int, num_hops: int) -> Optional[str]:
     return None if hop >= num_hops else f"s{(hop - 1) % 2}"
 
 
+def _stored_rows(rows: np.ndarray, start: int, stop: int, stored: np.ndarray) -> np.ndarray:
+    """The ``stored`` rows of ``rows``, all of which lie in ``[start, stop)``.
+
+    Sorted unique ids that fill the range are the range itself, so a fully
+    stored block is a slice (cast into the store without a gather), not a
+    fancy-index copy.
+    """
+    return rows[start:stop] if stored.size == stop - start else rows[stored]
+
+
 def _run_phase(
     kernel: int,
     hop: int,
@@ -175,15 +186,20 @@ def _run_phase(
     blocks: List[Tuple[int, int]],
     sink_mats: List[np.ndarray],
     sources: Dict[str, np.ndarray],
-    dtype: np.dtype,
     fault_plan: Optional[FaultPlan] = None,
+    chained: bool = False,
 ) -> Tuple[float, float]:
     """Compute one (kernel, hop) phase over ``blocks``.
 
     Shared by the single-process loop and the workers: for every row block,
-    run the block-SpMM (hop >= 1), stage the result into the next hop's
-    scratch buffer, and stream the block's labeled rows into the store
-    matrix.  Returns ``(spmm_seconds, store_write_seconds)``.
+    run the block-SpMM (hop >= 1), stage the result for the next hop, and
+    stream the block's labeled rows into the store matrix (cast on
+    assignment, so the only temporary is the gathered rows).  ``chained`` is
+    the one-block case, whose chain stays in RAM: hop 1 reads the features in
+    the accumulate dtype, and each product is bound in ``sources`` as the
+    next hop's input instead of being copied into a scratch buffer, the
+    consumed input dropped, so at most two ``(N, F)`` hops are alive.
+    Returns ``(spmm_seconds, store_write_seconds)``.
     """
     dest_mat = sink_mats[kernel * (num_hops + 1) + hop]
     spmm_seconds = 0.0
@@ -200,15 +216,23 @@ def _run_phase(
                     block_start=start,
                 )
                 began = time.perf_counter()
-                dest_mat[lo:hi] = features[node_ids[lo:hi]].astype(dtype, copy=False)
+                dest_mat[lo:hi] = _stored_rows(features, start, stop, node_ids[lo:hi])
                 write_seconds += time.perf_counter() - began
         return spmm_seconds, write_seconds
-    source = sources[_hop_source_tag(hop)]
+    source_tag = _hop_source_tag(hop)
     dest_tag = _hop_dest_tag(hop, num_hops)
-    dest = sources[dest_tag] if dest_tag is not None else None
+    if chained:
+        began = time.perf_counter()
+        if hop == 1:
+            source = np.ascontiguousarray(features, dtype=operator.dtype)
+        else:
+            source = sources.pop(source_tag)
+        spmm_seconds += time.perf_counter() - began
+    else:
+        source = sources[source_tag]
     for start, stop in blocks:
         lo, hi = np.searchsorted(node_ids, (start, stop))
-        if dest is None and hi <= lo:
+        if dest_tag is None and hi <= lo:
             # final hop and no labeled rows in this block: nothing consumes
             # the SpMM result (big win on sparsely-labeled graphs, where most
             # last-hop blocks store nothing)
@@ -221,13 +245,19 @@ def _run_phase(
             block_start=start,
         )
         began = time.perf_counter()
-        block = operator_row_block(operator, start, stop) @ source
-        if dest is not None:
-            dest[start:stop] = block
+        if chained:
+            block = operator @ source
+            source = None  # consumed: the store write below runs beside one hop, not two
+            if dest_tag is not None:
+                sources[dest_tag] = block
+        else:
+            block = operator_row_block(operator, start, stop) @ source
+            if dest_tag is not None:
+                sources[dest_tag][start:stop] = block
         mid = time.perf_counter()
         spmm_seconds += mid - began
         if hi > lo:
-            dest_mat[lo:hi] = block[node_ids[lo:hi] - start].astype(dtype, copy=False)
+            dest_mat[lo:hi] = _stored_rows(block, 0, stop - start, node_ids[lo:hi] - start)
             write_seconds += time.perf_counter() - mid
     return spmm_seconds, write_seconds
 
@@ -241,7 +271,6 @@ def _worker_main(
     node_ids: np.ndarray,
     blocks: List[Tuple[int, int]],
     num_hops: int,
-    dtype_str: str,
     sink_spec: _ArraySpec,
     scratch_specs: Dict[str, Optional[_ArraySpec]],
     fault_plan: Optional[FaultPlan],
@@ -256,13 +285,12 @@ def _worker_main(
             # spawn start method: the parent staged the features in a scratch
             # memmap rather than pickling an (N, F) array into every worker
             features = _open_array(features)
-        sink_mats = _open_sink(sink_spec)
+        sink_mats = list(_open_array(sink_spec))
         sources = {
             tag: (features if spec is None else _open_array(spec))
             for tag, spec in scratch_specs.items()
         }
         my_blocks = blocks[worker_id::num_workers]
-        dtype = np.dtype(dtype_str)
         while not stop_event.is_set():
             try:
                 task = task_queue.get(timeout=_POLL_SECONDS)
@@ -281,7 +309,6 @@ def _worker_main(
                 my_blocks,
                 sink_mats,
                 sources,
-                dtype,
                 fault_plan=fault_plan,
             )
             result_queue.put((_DONE, worker_id, kernel, hop, spmm_seconds, write_seconds))
@@ -387,12 +414,10 @@ def open_store_arrays(root: Path) -> Tuple[List[np.ndarray], np.memmap]:
     :func:`propagate_blocked`) into ``packed``, the mapped block to
     ``flush()`` once the patch is written.  Only incremental updates write
     through this — and only into *staged* store copies no reader can see.
-    Stores from older releases raise ``ValueError``.
+    Stores from older releases and torn stores raise ``ValueError``.
     """
-    root = Path(root)
-    read_store_meta(root)
-    packed = np.load(root / PACKED_FILENAME, mmap_mode="r+")
-    return [packed[m] for m in range(packed.shape[0])], packed
+    packed, _, _ = map_store(root, mmap_mode="r+")
+    return list(packed), packed
 
 
 # --------------------------------------------------------------------------- #
@@ -501,7 +526,7 @@ def propagate_blocked(
     resume: bool = False,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[FeatureStore, dict]:
-    """Blocked out-of-core propagation straight into a feature store.
+    """Blocked propagation straight into a feature store.
 
     Parameters
     ----------
@@ -511,16 +536,17 @@ def propagate_blocked(
         labeled rows are gathered and written as one contiguous store slice.
     root:
         Destination of the store files, as in
-        :class:`~repro.prepropagation.pipeline.PreprocessingPipeline`; the
-        final store stays memory-mapped.  With ``root=None`` the result is an
-        in-memory store; the engine then only avoids the full-graph hop
-        matrices, not the (unavoidable) packed labeled block.
+        :class:`~repro.prepropagation.pipeline.PreprocessingPipeline`.  A
+        multi-block store is returned memory-mapped; the one-block case
+        (one block, no workers, no resume) keeps its block in RAM, as it does
+        with ``root=None``.
     layout:
         Accepts only ``"packed"``; removed with ``bench/``'s follow-up (see
         :func:`~repro.prepropagation.store.check_layout`).
     block_size:
         Rows per SpMM tile (see
-        :func:`repro.autoconfig.planner.plan_propagation_blocks`).
+        :func:`repro.autoconfig.planner.plan_propagation_blocks`); a block
+        covering the graph is the in-core case.
     num_workers:
         ``0`` runs blocks inline; ``K >= 1`` fans phases out over ``K``
         processes writing disjoint row ranges of the shared files.
@@ -586,6 +612,8 @@ def propagate_blocked(
         (start, min(start + block_size, num_nodes))
         for start in range(0, num_nodes, block_size)
     ]
+    # the one-block case chains its hops in RAM (see _run_phase): no scratch
+    chained = len(blocks) == 1 and num_workers == 0 and not resume
     phases = [(k, hop) for k in range(num_kernels) for hop in range(num_hops + 1)]
 
     operator_timer = Timer()
@@ -638,7 +666,9 @@ def propagate_blocked(
         scratch_root.mkdir(parents=True, exist_ok=True)
     else:
         staging_root = None
-        scratch_root = Path(tempfile.mkdtemp(prefix="ppgnn-propagate-", dir=scratch_dir))
+        scratch_root = (
+            None if chained else Path(tempfile.mkdtemp(prefix="ppgnn-propagate-", dir=scratch_dir))
+        )
 
     start_method = default_start_method(start_method)
     pool: Optional[_WorkerPool] = None
@@ -646,13 +676,13 @@ def propagate_blocked(
     phases_resumed = 0
     phases_computed = 0
     try:
-        # ---------------- scratch buffers (disk-backed, never in RAM) ------ #
+        # ---------------- scratch buffers (disk-backed; one block needs none) #
         scratch_specs: Dict[str, Optional[_ArraySpec]] = {}
         sources: Dict[str, np.ndarray] = {}
         scratch_shape = (num_nodes, feature_dim)
-        if num_hops >= 1 and (
-            features.dtype != accumulate_dtype or not features.flags.c_contiguous
-        ):
+        if chained or num_hops == 0:
+            pass  # no hop reads a scratch buffer
+        elif features.dtype != accumulate_dtype or not features.flags.c_contiguous:
             # hop 1 needs an accumulate-dtype, SpMM-friendly source; stream
             # the features into scratch block by block (O(block x F) resident).
             # Rebuilt even on resume — it is a pure function of the features,
@@ -667,10 +697,10 @@ def propagate_blocked(
             scratch_specs["hop1_src"] = _ArraySpec(
                 str(cast_path), scratch_shape, accumulate_dtype.str, npy=False
             )
-        elif num_hops >= 1:
+        else:
             sources["hop1_src"] = features
             scratch_specs["hop1_src"] = None  # workers read their own features copy
-        if num_hops >= 2:
+        if num_hops >= 2 and not chained:
             for tag in ("s0", "s1"):
                 path = scratch_root / f"{tag}.dat"
                 # a resumed run must see the ping/pong bytes the journaled
@@ -702,18 +732,14 @@ def propagate_blocked(
         # ---------------- destination packed block ------------------------ #
         sink_shape = (num_matrices, num_rows, feature_dim)
         sink_spec: Optional[_ArraySpec] = None
-        if root is not None:
-            # stage into a sibling directory and rename into place on success:
-            # a crash neither leaves half-written slabs behind nor destroys a
-            # previous valid store at the same root.  Resumable runs use a
-            # deterministic staging name (and keep it on failure); one-shot
-            # runs keep the pid-suffixed throwaway staging.
-            store_root = Path(root)
-            store_root.parent.mkdir(parents=True, exist_ok=True)
+        if root is not None and not chained:
+            # stream into a sibling staging directory that write_store swaps
+            # into place on success: a crash neither leaves half-written slabs
+            # behind nor destroys a previous valid store at the same root.
+            # Resumable runs use a deterministic staging name (and keep it on
+            # failure); one-shot runs a pid-suffixed throwaway one.
             if staging_root is None:
-                staging_root = store_root.parent / f".{store_root.name}.staging-{os.getpid()}"
-                shutil.rmtree(staging_root, ignore_errors=True)
-                staging_root.mkdir()
+                staging_root = fresh_staging(root)
             sink_spec = _ArraySpec(
                 str(staging_root / PACKED_FILENAME), sink_shape, dtype.str, npy=True
             )
@@ -761,7 +787,6 @@ def propagate_blocked(
                     node_ids,
                     blocks,
                     num_hops,
-                    dtype.str,
                     sink_spec,
                     scratch_specs,
                     fault_plan,
@@ -779,7 +804,8 @@ def propagate_blocked(
             else:
                 phase_spmm, phase_write = _run_phase(
                     kernel, hop, num_hops, operators[kernel], features, node_ids,
-                    blocks, sink_mats, sources, dtype, fault_plan=fault_plan,
+                    blocks, sink_mats, sources, fault_plan=fault_plan,
+                    chained=chained,
                 )
             spmm_seconds += phase_spmm
             write_seconds += phase_write
@@ -816,38 +842,20 @@ def propagate_blocked(
         began = time.perf_counter()
         if sink_spec is not None:
             sink.flush()
-        if root is not None:
-            store_root = Path(root)
-            np.save(staging_root / "node_ids.npy", node_ids)
-            meta = store_meta(
-                num_kernels=num_kernels,
-                num_hops=num_hops,
-                num_rows=num_rows,
-                feature_dim=feature_dim,
-                dtype=dtype,
-            )
-            (staging_root / "meta.json").write_text(json.dumps(meta, indent=2))
-            del sink_mats, sink
+        if root is not None and not chained:
             if journal is not None:
                 # the journal and scratch are run state, not store content
                 journal.discard()
                 shutil.rmtree(scratch_root, ignore_errors=True)
-            # swap the finished store into place: the old store is moved
-            # aside (not deleted) until the new one has been renamed in, so
-            # a crash at any instant destroys no data — worst case the old
-            # store survives under .<name>.old-<pid> for manual recovery
-            retired = store_root.parent / f".{store_root.name}.old-{os.getpid()}"
-            shutil.rmtree(retired, ignore_errors=True)
-            if store_root.exists():
-                store_root.replace(retired)
-            staging_root.replace(store_root)
-            shutil.rmtree(retired, ignore_errors=True)
-            store = FeatureStore.load(store_root)
+            write_store(root, sink, node_ids, num_kernels, staging=staging_root)
+            store = FeatureStore.load(root)
         else:
             if sink_spec is not None:
                 del sink_mats
                 sink = np.load(sink_spec.path)  # read the worker-written block back once
-            store = FeatureStore(HopFeatures.from_packed(sink, node_ids, num_kernels=num_kernels))
+            # the one-block case publishes its RAM block through the same
+            # writer (FeatureStore with a root) and keeps it resident
+            store = FeatureStore(HopFeatures(node_ids, sink, num_kernels=num_kernels), root=root)
         write_seconds += time.perf_counter() - began
         completed = True
     finally:
@@ -860,9 +868,9 @@ def propagate_blocked(
             # staging directory; any pre-existing store at root is untouched.
             # Resumable runs keep their staging — that *is* the checkpoint.
             shutil.rmtree(staging_root, ignore_errors=True)
-        if not resume:
+        if scratch_root is not None and not resume:
             shutil.rmtree(scratch_root, ignore_errors=True)
-        elif not completed:
+        elif resume and not completed:
             logger.info(
                 "resumable run interrupted; journaled state kept at %s", staging_root
             )

@@ -1,24 +1,27 @@
 """End-to-end preprocessing pipeline for PP-GNN training.
 
-Wraps the propagation engines with the bookkeeping the experiments need:
+Wraps the propagation engine with the bookkeeping the experiments need:
 restriction to labeled nodes, byte/expansion accounting (Section 3.4),
 per-phase timing (Table 2 / Table 7), and optional persistence through
 :class:`~repro.prepropagation.store.FeatureStore` as one packed ``(M, N, F)``
 file.
 
-Two execution modes share one result contract:
+Every mode runs :func:`~repro.prepropagation.blocked.propagate_blocked`; the
+modes differ only in block size:
 
-* ``"in_core"`` — the reference path: full-graph hop matrices in RAM
-  (:func:`~repro.prepropagation.propagator.propagate_features`), restricted to
-  labeled rows afterwards.  Peak memory ``O(K (R + 1) N F)``.
-* ``"blocked"`` — the out-of-core engine
-  (:func:`~repro.prepropagation.blocked.propagate_blocked`): row-tiled SpMM,
-  disk-backed hop scratch, labeled rows streamed straight into the packed
-  store file, optional worker processes.  Peak memory ``O(block_size x F)``
-  scratch.  Bit-identical output for a fixed accumulation dtype.
+* ``"in_core"`` — one block, inline: the hop chain stays in RAM, and the run
+  holds the labeled-row store, the CSR operators and two full-graph
+  ``(N, F)`` hops in the accumulation dtype.
+* ``"blocked"`` — the planner's block size: row-tiled SpMM, disk-backed hop
+  scratch, labeled rows streamed straight into the packed store file,
+  optional worker processes, resumable.  Peak memory ``O(block_size x F)``
+  scratch besides the store.
+* ``"auto"`` — in-core when its working set fits the memory budget, else
+  blocked.
 
-``"auto"`` picks blocked when the in-core transient would exceed the memory
-budget.
+For a fixed accumulation dtype every mode writes the same bytes as
+:func:`~repro.prepropagation.propagator.propagate_features`, the full-graph
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -35,11 +38,9 @@ from repro.prepropagation.propagator import (
     PropagationConfig,
     expanded_bytes,
     flops_estimate,
-    propagate_features,
 )
-from repro.prepropagation.store import FeatureStore, HopFeatures, check_layout
+from repro.prepropagation.store import FeatureStore, check_layout
 from repro.utils.logging import get_logger
-from repro.utils.timer import Timer
 
 logger = get_logger("prepropagation.pipeline")
 
@@ -99,14 +100,14 @@ class PreprocessingPipeline:
         Accepts only ``"packed"``; removed with ``bench/``'s follow-up (see
         :func:`~repro.prepropagation.store.check_layout`).
     mode:
-        ``"in_core"`` (reference), ``"blocked"`` (out-of-core engine) or
-        ``"auto"`` (blocked iff the in-core transient exceeds the budget).
+        ``"in_core"`` (one block), ``"blocked"`` (planned blocks) or
+        ``"auto"`` (blocked iff the in-core working set exceeds the budget).
     block_size:
-        Rows per SpMM tile for the blocked engine; ``None`` plans it from the
+        Rows per SpMM tile in the blocked mode; ``None`` plans it from the
         memory budget via
         :func:`repro.autoconfig.planner.plan_propagation_blocks`.
     num_workers:
-        Worker processes for the blocked engine (``0`` = inline).
+        Worker processes in the blocked mode (``0`` = inline).
     memory_budget_bytes:
         Resident-scratch budget for block planning and the ``"auto"``
         decision; ``None`` uses the planner default.
@@ -153,17 +154,20 @@ class PreprocessingPipeline:
         self.resume = resume
 
     # ------------------------------------------------------------------ #
-    def _in_core_transient_bytes(self, dataset: NodeClassificationDataset) -> int:
-        """Peak full-graph working set of the in-core path (the blocked engine's target)."""
-        num_values = dataset.num_nodes * dataset.num_features
+    def _in_core_transient_bytes(self, dataset: NodeClassificationDataset, num_labeled: int) -> int:
+        """Peak working set of the in-core (one-block) run: the labeled-row
+        store plus the chain's two full-graph accumulate-dtype hops."""
         accumulate_itemsize = np.dtype(self.config.accumulate_dtype).itemsize
         stored_itemsize = np.dtype(self.config.dtype).itemsize
         return int(
-            num_values
-            * (2 * accumulate_itemsize + stored_itemsize * self.config.num_matrices)
+            dataset.num_features
+            * (
+                num_labeled * stored_itemsize * self.config.num_matrices
+                + dataset.num_nodes * 2 * accumulate_itemsize
+            )
         )
 
-    def _resolve_mode(self, dataset: NodeClassificationDataset) -> str:
+    def _resolve_mode(self, dataset: NodeClassificationDataset, num_labeled: int) -> str:
         if self.mode != "auto":
             return self.mode
         if self.resume:
@@ -173,7 +177,8 @@ class PreprocessingPipeline:
         from repro.autoconfig.planner import DEFAULT_PROPAGATION_BUDGET_BYTES
 
         budget = self.memory_budget_bytes or DEFAULT_PROPAGATION_BUDGET_BYTES
-        return "blocked" if self._in_core_transient_bytes(dataset) > budget else "in_core"
+        working_set = self._in_core_transient_bytes(dataset, num_labeled)
+        return "blocked" if working_set > budget else "in_core"
 
     def _planned_block_size(self, dataset: NodeClassificationDataset) -> int:
         if self.block_size is not None:
@@ -204,29 +209,22 @@ class PreprocessingPipeline:
         labeled = np.unique(
             np.concatenate([dataset.split.train, dataset.split.valid, dataset.split.test])
         )
-        mode = self._resolve_mode(dataset)
-        if mode == "blocked":
-            store, timing = propagate_blocked(
-                dataset.graph,
-                dataset.features,
-                self.config,
-                labeled,
-                root=self.root,
-                block_size=self._planned_block_size(dataset),
-                num_workers=self.num_workers,
-                scratch_dir=self.scratch_dir,
-                resume=self.resume,
-            )
+        mode = self._resolve_mode(dataset, labeled.size)
+        if mode == "in_core":
+            block_size, num_workers = dataset.num_nodes, 0
         else:
-            full_matrices, timing = propagate_features(
-                dataset.graph, dataset.features, self.config
-            )
-            with Timer() as write_timer:
-                hop_features = HopFeatures.from_full_matrices(full_matrices, labeled)
-                store = FeatureStore(hop_features, root=self.root)
-            timing = dict(timing)
-            timing["store_write_seconds"] = write_timer.elapsed
-            timing["total_seconds"] += write_timer.elapsed
+            block_size, num_workers = self._planned_block_size(dataset), self.num_workers
+        store, timing = propagate_blocked(
+            dataset.graph,
+            dataset.features,
+            self.config,
+            labeled,
+            root=self.root,
+            block_size=block_size,
+            num_workers=num_workers,
+            scratch_dir=self.scratch_dir,
+            resume=self.resume,
+        )
 
         dtype_bytes = np.dtype(self.config.dtype).itemsize
         raw_bytes = int(labeled.size * dataset.num_features * dtype_bytes)

@@ -89,6 +89,10 @@ def propagate_features(
 ) -> tuple[list[list[np.ndarray]], dict]:
     """Compute hop-wise propagated features for every configured operator.
 
+    The paper's full-graph recipe, kept as the reference: preprocessing runs
+    :func:`~repro.prepropagation.blocked.propagate_blocked`, which must write
+    exactly these values for the stored rows.
+
     Returns
     -------
     hop_features:

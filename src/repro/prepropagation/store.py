@@ -4,19 +4,19 @@ After preprocessing, PP-GNN training only needs the rows of the labeled nodes
 (Section 6.4) but across ``K (R + 1)`` matrices — the input-expansion problem.
 The store abstracts where those matrices live:
 
-* :class:`HopFeatures` — the logical container (kernel-major, hop-major list
-  of row-aligned matrices restricted to the labeled nodes);
+* :class:`HopFeatures` — the logical container: the labeled node ids and one
+  packed ``(num_matrices, num_rows, F)`` block, kernel-major then hop;
 * :class:`FeatureStore` — an optionally file-backed store that persists the
-  matrices as one packed ``.npy`` file and memory-maps it on access.
+  block as one ``.npy`` file and memory-maps it on access.
 
 Packed layout
 -------------
 Batch assembly is the hot path of PP-GNN training (Sections 4-5): every batch
-must gather the same rows from all ``K (R + 1)`` matrices.  Both containers
-therefore expose a *packed* view — a single contiguous
-``(num_matrices, num_rows, F)`` array — so one ``np.take(..., axis=1, out=...)``
-assembles every hop of a batch in a single kernel instead of ``K (R + 1)``
-separate fancy-index gathers (see :mod:`repro.dataloading.loaders`).
+must gather the same rows from all ``K (R + 1)`` matrices.  The matrices
+therefore live in a single contiguous ``(num_matrices, num_rows, F)`` array,
+so one ``np.take(..., axis=1, out=...)`` assembles every hop of a batch in a
+single kernel instead of ``K (R + 1)`` separate fancy-index gathers (see
+:mod:`repro.dataloading.loaders`).
 
 A file-backed store is that block on disk: ``packed.npy`` holds the
 ``(M, N, F)`` array, so a memory-mapped
@@ -25,7 +25,9 @@ contiguous read per matrix slab, and every other reader (worker processes,
 the serving engine, incremental updates) maps the same file.  A
 ``meta.json`` records ``(num_kernels, num_hops)`` so :meth:`FeatureStore.load`
 restores the kernel-major structure instead of collapsing multi-kernel stores
-into one kernel.  The paper's per-hop files (Section 4.3, one ``.npy`` per
+into one kernel.  Every store directory is written by :func:`write_store`:
+staged beside ``root`` and swapped into place, so a crash never leaves a torn
+store behind.  The paper's per-hop files (Section 4.3, one ``.npy`` per
 matrix for parallel GDS reads) are not written: every reader here gathers a
 batch from all hops at once, which one block serves with one gather.
 """
@@ -33,9 +35,11 @@ batch from all hops at once, which one block serves with one gather.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+import shutil
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("prepropagation.store")
 
 _META_FILENAME = "meta.json"
+_NODE_IDS_FILENAME = "node_ids.npy"
 PACKED_FILENAME = "packed.npy"
 #: the one on-disk format; ``meta.json`` names it so older stores are detectable
 _LAYOUT = "packed"
@@ -63,12 +68,29 @@ def check_layout(layout: str) -> None:
         )
 
 
-def read_store_meta(root: Path) -> dict:
-    """``meta.json`` of the store at ``root``, after checking it is a packed store.
+def store_meta(packed: np.ndarray, num_kernels: int) -> dict:
+    """The ``meta.json`` of a store holding ``packed`` (the schema :func:`map_store` checks)."""
+    num_matrices, num_rows, feature_dim = packed.shape
+    return {
+        "version": 2,
+        "layout": _LAYOUT,
+        "num_kernels": int(num_kernels),
+        "num_hops": num_matrices // num_kernels - 1,
+        "num_rows": num_rows,
+        "feature_dim": feature_dim,
+        "dtype": str(packed.dtype),
+    }
 
-    A directory without ``meta.json`` or whose metadata names another layout
-    was written by an older release (per-hop ``hop_XX.npy`` files); it is
-    rejected rather than guessed at.
+
+def map_store(root: Path, mmap_mode: str = "r") -> Tuple[np.memmap, np.ndarray, dict]:
+    """Map the store at ``root``: ``(packed, node_ids, meta)``.
+
+    Two kinds of directory are rejected with ``ValueError`` rather than
+    guessed at: one without ``meta.json`` or whose metadata names another
+    layout (per-hop ``hop_XX.npy`` files from an older release), and a torn
+    one, whose block and node ids are not what ``meta.json`` describes — a
+    ``(K (R + 1), num_rows, feature_dim)`` block of ``dtype`` and
+    ``num_rows`` ids.
     """
     root = Path(root)
     if not root.is_dir():
@@ -80,31 +102,74 @@ def read_store_meta(root: Path) -> dict:
             f"{root} is not a packed feature store (layout {meta.get('layout')!r}); "
             "stores from older releases are not readable: re-run preprocessing"
         )
-    return meta
+    node_ids = np.load(root / _NODE_IDS_FILENAME)
+    packed = np.load(root / PACKED_FILENAME, mmap_mode=mmap_mode)
+    num_rows = meta["num_rows"]
+    expected = (meta["num_kernels"] * (meta["num_hops"] + 1), num_rows, meta["feature_dim"])
+    if (
+        packed.shape != expected
+        or packed.dtype != np.dtype(meta["dtype"])
+        or node_ids.shape != (num_rows,)
+    ):
+        raise ValueError(
+            f"{root} is a torn feature store: meta.json describes a {expected} "
+            f"{meta['dtype']} block over {num_rows} rows, but packed.npy holds "
+            f"{packed.shape} {packed.dtype} and node_ids.npy {node_ids.shape[0]} ids; "
+            "re-run preprocessing"
+        )
+    return packed, node_ids, meta
 
 
-def store_meta(
+def fresh_staging(root: Path) -> Path:
+    """An empty, process-private staging directory beside ``root``."""
+    root = Path(root)
+    root.parent.mkdir(parents=True, exist_ok=True)
+    staging = root.parent / f".{root.name}.staging-{os.getpid()}"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir()
+    return staging
+
+
+def write_store(
+    root: Path,
+    packed: np.ndarray,
+    node_ids: np.ndarray,
     num_kernels: int,
-    num_hops: int,
-    num_rows: int,
-    feature_dim: int,
-    dtype,
-) -> dict:
-    """The ``meta.json`` schema every store writer must emit.
+    staging: Optional[Path] = None,
+) -> None:
+    """Publish ``packed`` and ``node_ids`` as the store at ``root``: the one store writer.
 
-    Shared by :class:`FeatureStore` and the blocked propagation engine (which
-    writes store files directly) so the two can never drift apart on the
-    format :meth:`FeatureStore.load` expects.
+    ``packed.npy``, ``node_ids.npy`` and ``meta.json`` are written into a
+    staging directory, which is then swapped into ``root``, so a crash leaves
+    any previous store at ``root`` whole.  A ``staging`` passed in already
+    holds the flushed ``packed.npy`` (the blocked engine streams into it) and
+    is the caller's to clean up on failure; otherwise a fresh one is made
+    and removed if the write fails.
     """
-    return {
-        "version": 2,
-        "layout": _LAYOUT,
-        "num_kernels": int(num_kernels),
-        "num_hops": int(num_hops),
-        "num_rows": int(num_rows),
-        "feature_dim": int(feature_dim),
-        "dtype": str(np.dtype(dtype)),
-    }
+    root = Path(root)
+    owned = staging is None
+    if owned:
+        staging = fresh_staging(root)
+    try:
+        if owned:
+            np.save(staging / PACKED_FILENAME, packed)
+        np.save(staging / _NODE_IDS_FILENAME, node_ids)
+        meta = store_meta(packed, num_kernels)
+        (staging / _META_FILENAME).write_text(json.dumps(meta, indent=2))
+        # the old store is moved aside (not deleted) until the new one has
+        # been renamed in, so a crash at any instant destroys no data — worst
+        # case the old store survives under .<name>.old-<pid> for manual recovery
+        retired = root.parent / f".{root.name}.old-{os.getpid()}"
+        shutil.rmtree(retired, ignore_errors=True)
+        if root.exists():
+            root.replace(retired)
+        staging.replace(root)
+        shutil.rmtree(retired, ignore_errors=True)
+    except BaseException:
+        if owned:
+            shutil.rmtree(staging, ignore_errors=True)
+        raise
+    logger.info("persisted packed store to %s", root)
 
 
 def input_slice(inputs: Optional[range], num_matrices: int) -> slice:
@@ -148,141 +213,70 @@ def _take_rows(packed: np.ndarray, row_indices: np.ndarray, out: Optional[np.nda
 
 @dataclass
 class HopFeatures:
-    """Row-aligned hop-wise features for a fixed node set.
+    """Row-aligned hop-wise features for a fixed node set, as one packed block.
 
-    ``matrices[k][r]`` is the ``(num_rows, F)`` array of hop-``r`` features
-    under kernel ``k``; row ``i`` of every matrix refers to ``node_ids[i]``.
+    ``packed`` is the ``(num_matrices, num_rows, F)`` block: matrix
+    ``k * (num_hops + 1) + r`` holds the hop-``r`` features under kernel
+    ``k``, and row ``i`` of every matrix refers to ``node_ids[i]``.
     """
 
     node_ids: np.ndarray
-    matrices: List[List[np.ndarray]]
-    _packed: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    packed: np.ndarray
+    num_kernels: int = 1
 
     def __post_init__(self) -> None:
         self.node_ids = np.asarray(self.node_ids, dtype=np.int64)
-        if not self.matrices or not self.matrices[0]:
-            raise ValueError("matrices must contain at least one kernel with one hop")
-        rows = self.node_ids.shape[0]
-        dims = {m.shape for kernel in self.matrices for m in kernel}
-        if len({shape[1] for shape in dims}) != 1:
-            raise ValueError("all hop matrices must share the feature dimension")
-        for kernel in self.matrices:
-            for matrix in kernel:
-                if matrix.shape[0] != rows:
-                    raise ValueError("hop matrices must align with node_ids")
+        if getattr(self.packed, "ndim", None) != 3:
+            raise ValueError(f"packed must be a 3-D (matrices, rows, F) array, got {np.shape(self.packed)}")
+        num_matrices = self.packed.shape[0]
+        if self.num_kernels <= 0 or num_matrices == 0 or num_matrices % self.num_kernels:
+            raise ValueError(
+                f"{num_matrices} matrices cannot be split into {self.num_kernels} kernels"
+            )
+        if self.packed.shape[1] != self.node_ids.shape[0]:
+            raise ValueError("hop matrices must align with node_ids")
 
     @property
     def num_rows(self) -> int:
         return int(self.node_ids.shape[0])
 
     @property
-    def num_kernels(self) -> int:
-        return len(self.matrices)
+    def num_matrices(self) -> int:
+        return int(self.packed.shape[0])
 
     @property
     def num_hops(self) -> int:
         """Number of propagation hops R (hop 0 is the raw features)."""
-        return len(self.matrices[0]) - 1
+        return self.num_matrices // self.num_kernels - 1
 
     @property
     def feature_dim(self) -> int:
-        return int(self.matrices[0][0].shape[1])
+        return int(self.packed.shape[2])
 
     def nbytes(self) -> int:
-        return int(sum(m.nbytes for kernel in self.matrices for m in kernel))
-
-    def hop_list(self) -> List[np.ndarray]:
-        """Flatten to a list ordered kernel-major then hop (K*(R+1) items)."""
-        return [m for kernel in self.matrices for m in kernel]
-
-    def packed(self) -> np.ndarray:
-        """Return (building lazily) the ``(num_matrices, num_rows, F)`` block.
-
-        The packed array is bit-identical to ``np.stack(self.hop_list())`` and
-        cached after the first call; it is what the optimized loaders gather
-        from with a single ``np.take`` per batch.  After packing, ``matrices``
-        is rebound to views into the block so the store is not held in memory
-        twice (the original arrays are released once external references
-        drop).
-        """
-        if self._packed is None:
-            hops = self.hop_list()
-            dtypes = {m.dtype for m in hops}
-            if len(dtypes) != 1:
-                raise ValueError(f"packed layout requires a uniform dtype, got {sorted(map(str, dtypes))}")
-            self._packed = np.stack(hops, axis=0)
-            per_kernel = len(self.matrices[0])
-            self.matrices = [
-                [self._packed[k * per_kernel + r] for r in range(per_kernel)]
-                for k in range(self.num_kernels)
-            ]
-        return self._packed
-
-    def gather(self, row_indices: np.ndarray, inputs: Optional[range] = None) -> List[np.ndarray]:
-        """Gather the given rows from every hop matrix ``inputs`` names (default: all)."""
-        row_indices = np.asarray(row_indices, dtype=np.int64)
-        hops = self.hop_list()
-        return [m[row_indices] for m in hops[input_slice(inputs, len(hops))]]
-
-    def gather_packed(
-        self,
-        row_indices: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        inputs: Optional[range] = None,
-    ) -> np.ndarray:
-        """Gather rows from the selected matrices with one fused ``np.take`` kernel.
-
-        Returns the ``(len(inputs), len(row_indices), F)`` block (all matrices
-        by default); ``out`` enables zero-allocation assembly into a
-        preallocated batch buffer.
-        """
-        packed = self.packed()
-        return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
-
-    def restrict(self, row_indices: np.ndarray) -> "HopFeatures":
-        """Return a new HopFeatures containing only ``row_indices`` rows."""
-        row_indices = np.asarray(row_indices, dtype=np.int64)
-        return HopFeatures(
-            node_ids=self.node_ids[row_indices],
-            matrices=[[m[row_indices] for m in kernel] for kernel in self.matrices],
-        )
+        return int(self.packed.nbytes)
 
     @staticmethod
     def from_full_matrices(
         full_matrices: Sequence[Sequence[np.ndarray]], node_ids: np.ndarray
     ) -> "HopFeatures":
-        """Slice full-graph propagation output down to the labeled ``node_ids``."""
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        return HopFeatures(
-            node_ids=node_ids,
-            matrices=[[np.asarray(m)[node_ids] for m in kernel] for kernel in full_matrices],
-        )
+        """Slice full-graph propagation output down to the labeled ``node_ids``.
 
-    @staticmethod
-    def from_packed(
-        packed: np.ndarray, node_ids: np.ndarray, num_kernels: int
-    ) -> "HopFeatures":
-        """Rebuild the kernel-major structure from a ``(M, N, F)`` packed block."""
-        packed = np.asarray(packed)
-        if packed.ndim != 3:
-            raise ValueError(f"packed block must be 3-D, got shape {packed.shape}")
-        num_matrices = packed.shape[0]
-        if num_kernels <= 0 or num_matrices % num_kernels:
-            raise ValueError(
-                f"{num_matrices} matrices cannot be split into {num_kernels} kernels"
-            )
-        per_kernel = num_matrices // num_kernels
-        matrices = [
-            [packed[k * per_kernel + r] for r in range(per_kernel)]
-            for k in range(num_kernels)
-        ]
-        features = HopFeatures(node_ids=node_ids, matrices=matrices)
-        if isinstance(packed, np.memmap):
-            # keep memmap-backed blocks out of the cache: packed() should hand
-            # the loaders an in-memory array for the RAM-resident fast path
-            return features
-        features._packed = packed
-        return features
+        ``full_matrices[k][r]`` is an ``(N, F)`` hop matrix (the output of
+        :func:`~repro.prepropagation.propagator.propagate_features`); its
+        ``node_ids`` rows are gathered straight into one preallocated block.
+        """
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        hops = [np.asarray(m) for kernel in full_matrices for m in kernel]
+        if not hops or len({len(kernel) for kernel in full_matrices}) != 1:
+            raise ValueError("full_matrices must hold the same number (>= 1) of hops per kernel")
+        dtypes = {m.dtype for m in hops}
+        if len(dtypes) != 1:
+            raise ValueError(f"packed layout requires a uniform dtype, got {sorted(map(str, dtypes))}")
+        packed = np.empty((len(hops), node_ids.size, hops[0].shape[1]), dtype=hops[0].dtype)
+        for index, hop in enumerate(hops):
+            packed[index] = hop[node_ids]
+        return HopFeatures(node_ids, packed, num_kernels=len(full_matrices))
 
 
 class FeatureStore:
@@ -291,7 +285,9 @@ class FeatureStore:
     File-backed mode writes the ``(M, N, F)`` block as ``packed.npy`` and
     memory-maps it on access, so only the touched rows are read from disk and
     storage reads of a chunk run need a single request per matrix slab — the
-    file the :class:`~repro.dataloading.loaders.StorageLoader` maps.
+    file the :class:`~repro.dataloading.loaders.StorageLoader` maps.  A store
+    opened with :meth:`load` reads through its file mapping: its block is
+    never copied into RAM.
 
     ``layout`` accepts only ``"packed"`` (see :func:`check_layout`).
     """
@@ -306,7 +302,9 @@ class FeatureStore:
         self._features = hop_features
         self.root = Path(root) if root is not None else None
         if self.root is not None:
-            self._persist()
+            write_store(
+                self.root, hop_features.packed, hop_features.node_ids, hop_features.num_kernels
+            )
 
     # ------------------------------------------------------------------ #
     @property
@@ -319,7 +317,7 @@ class FeatureStore:
 
     @property
     def num_matrices(self) -> int:
-        return len(self._features.hop_list())
+        return self._features.num_matrices
 
     @property
     def num_kernels(self) -> int:
@@ -335,7 +333,7 @@ class FeatureStore:
 
     @property
     def dtype(self) -> np.dtype:
-        return self._features.matrices[0][0].dtype
+        return self._features.packed.dtype
 
     @property
     def is_file_backed(self) -> bool:
@@ -352,24 +350,9 @@ class FeatureStore:
         return self._features.nbytes()
 
     # ------------------------------------------------------------------ #
-    def _persist(self) -> None:
-        assert self.root is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        np.save(self.packed_path, self._features.packed())
-        np.save(self.root / "node_ids.npy", self._features.node_ids)
-        meta = store_meta(
-            num_kernels=self._features.num_kernels,
-            num_hops=self._features.num_hops,
-            num_rows=self._features.num_rows,
-            feature_dim=self._features.feature_dim,
-            dtype=self.dtype,
-        )
-        (self.root / _META_FILENAME).write_text(json.dumps(meta, indent=2))
-        logger.info("persisted packed store to %s", self.root)
-
     def matrices(self) -> List[np.ndarray]:
-        """Return the flat list of hop matrices (kernel-major, then hop)."""
-        return self._features.hop_list()
+        """The hop matrices (kernel-major, then hop) as views of the packed block."""
+        return list(self.packed_matrix())
 
     def packed_matrix(self, memmap: bool = False) -> np.ndarray:
         """Return the contiguous ``(num_matrices, num_rows, F)`` block.
@@ -379,15 +362,21 @@ class FeatureStore:
         """
         if memmap:
             return np.load(self.packed_path, mmap_mode="r")
-        return self._features.packed()
+        return self._features.packed
 
     def gather(
         self, row_indices: np.ndarray, memmap: bool = False, inputs: Optional[range] = None
     ) -> List[np.ndarray]:
-        """Fetch the given rows from every hop matrix ``inputs`` names (default: all)."""
+        """Fetch the given rows from every hop matrix ``inputs`` names (default: all).
+
+        In memory this is one fancy-index gather per matrix — the unfused
+        baseline the packed path is measured against.
+        """
         if memmap:
             return list(self.gather_packed(row_indices, memmap=True, inputs=inputs))
-        return self._features.gather(row_indices, inputs=inputs)
+        row_indices = np.asarray(row_indices, dtype=np.int64)
+        packed = self.packed_matrix()
+        return [matrix[row_indices] for matrix in packed[input_slice(inputs, packed.shape[0])]]
 
     def gather_packed(
         self,
@@ -403,18 +392,8 @@ class FeatureStore:
         optimized loaders.  ``inputs`` (a model's input range) selects a
         contiguous view of the block, so unselected matrices are never read.
         """
-        if memmap:
-            packed = self.packed_matrix(memmap=True)
-            return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
-        return self._features.gather_packed(row_indices, out=out, inputs=inputs)
-
-    def iter_chunks(self, chunk_size: int) -> Iterator[tuple[np.ndarray, List[np.ndarray]]]:
-        """Iterate (row_indices, hop matrices) over contiguous row chunks."""
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        for start in range(0, self.num_rows, chunk_size):
-            rows = np.arange(start, min(start + chunk_size, self.num_rows))
-            yield rows, self.gather(rows)
+        packed = self.packed_matrix(memmap=memmap)
+        return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
 
     @staticmethod
     def load(root: Path) -> "FeatureStore":
@@ -422,17 +401,16 @@ class FeatureStore:
 
         Restores the kernel-major ``(num_kernels, num_hops)`` structure that
         ``meta.json`` records.  The block is mapped rather than read:
-        storage-resident stores may exceed host RAM, and in-memory consumers
-        materialize it lazily through :meth:`packed_matrix`.  Stores from
-        older releases raise ``ValueError`` (see :func:`read_store_meta`).
+        storage-resident stores may exceed host RAM, and every reader gathers
+        through the page cache.  Stores from older releases and torn stores
+        raise ``ValueError`` (see :func:`map_store`).
         """
         root = Path(root)
-        meta = read_store_meta(root)
-        node_ids = np.load(root / "node_ids.npy")
-        packed = np.load(root / PACKED_FILENAME, mmap_mode="r")
+        packed, node_ids, meta = map_store(root)
         store = FeatureStore.__new__(FeatureStore)
-        store._features = HopFeatures.from_packed(
-            packed, node_ids, num_kernels=int(meta["num_kernels"])
+        # a plain ndarray view of the mapping, so slices and gathers are not memmaps
+        store._features = HopFeatures(
+            node_ids, np.asarray(packed), num_kernels=int(meta["num_kernels"])
         )
         store.root = root
         return store

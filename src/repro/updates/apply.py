@@ -791,10 +791,7 @@ def apply_memory_update(
     packed = np.array(store.packed_matrix(), copy=True)
     for m, patch in enumerate(patches):
         packed[m][patch_rows] = patch
-    hop_features = HopFeatures.from_packed(
-        packed, node_ids.copy(), num_kernels=store.num_kernels
-    )
-    new_store = FeatureStore(hop_features)
+    new_store = FeatureStore(HopFeatures(node_ids.copy(), packed, num_kernels=store.num_kernels))
     return UpdateResult(
         version=version,
         previous_version=version,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.graph.operators import build_operator
 from repro.prepropagation import (
     FeatureStore,
     PreprocessingPipeline,
@@ -182,6 +183,19 @@ class TestBlockedEngineBehavior:
         assert tiny_budget.run(small_dataset).mode == "blocked"
         assert huge_budget.run(small_dataset).mode == "in_core"
 
+    def test_auto_mode_prices_the_labeled_store_and_two_hops(self, sparse_label_dataset):
+        """auto charges the in-core run what it holds: ``M n F`` stored bytes
+        (labeled rows only) plus two ``(N, F)`` accumulate-dtype hops."""
+        dataset = sparse_label_dataset
+        config = PropagationConfig(num_hops=2)
+        working_set = dataset.num_features * (
+            dataset.split.num_labeled * 4 * config.num_matrices + dataset.num_nodes * 2 * 8
+        )
+        fits = PreprocessingPipeline(config, mode="auto", memory_budget_bytes=working_set)
+        over = PreprocessingPipeline(config, mode="auto", memory_budget_bytes=working_set - 1)
+        assert fits.run(dataset).mode == "in_core"
+        assert over.run(dataset).mode == "blocked"
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             PreprocessingPipeline(PropagationConfig(num_hops=1), mode="streamed")
@@ -210,8 +224,9 @@ class TestBlockedEngineBehavior:
         ).run(small_dataset)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["in_core", "blocked"])
     def test_failed_run_leaves_no_partial_store_files(
-        self, small_dataset, tmp_path, monkeypatch
+        self, small_dataset, tmp_path, monkeypatch, mode
     ):
         """A crash mid-propagation must not leave half-written hop slabs at root."""
         from repro.prepropagation import blocked as blocked_module
@@ -225,21 +240,22 @@ class TestBlockedEngineBehavior:
             PreprocessingPipeline(
                 PropagationConfig(num_hops=2),
                 root=root,
-                mode="blocked",
+                mode=mode,
                 block_size=256,
             ).run(small_dataset)
         assert not (root / "packed.npy").exists()
         assert not (root / "meta.json").exists()
 
+    @pytest.mark.parametrize("mode", ["in_core", "blocked"])
     def test_failed_rerun_preserves_previous_store_at_same_root(
-        self, small_dataset, tmp_path, monkeypatch
+        self, small_dataset, tmp_path, monkeypatch, mode
     ):
         """Output is staged and renamed into place: a crashed rerun must leave
         the earlier valid store untouched (and no staging residue)."""
         from repro.prepropagation import blocked as blocked_module
         root = tmp_path / "reused"
         first = PreprocessingPipeline(
-            PropagationConfig(num_hops=1), root=root, mode="blocked", block_size=512
+            PropagationConfig(num_hops=1), root=root, mode=mode, block_size=512
         ).run(small_dataset)
         assert (root / "meta.json").exists()
 
@@ -249,21 +265,22 @@ class TestBlockedEngineBehavior:
         monkeypatch.setattr(blocked_module, "_run_phase", boom)
         with pytest.raises(RuntimeError, match="injected"):
             PreprocessingPipeline(
-                PropagationConfig(num_hops=2), root=root, mode="blocked", block_size=512
+                PropagationConfig(num_hops=2), root=root, mode=mode, block_size=512
             ).run(small_dataset)
         # the old store still loads verbatim, and no staging dirs are left over
         reloaded = FeatureStore.load(root)
         _assert_stores_equal(first.store, reloaded, exact=True)
         assert [p for p in tmp_path.iterdir() if p.name != "reused"] == []
 
-    def test_successful_rerun_replaces_previous_store(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("mode", ["in_core", "blocked"])
+    def test_successful_rerun_replaces_previous_store(self, small_dataset, tmp_path, mode):
         """A different-config rerun at the same root swaps cleanly — no stale mix."""
         root = tmp_path / "swapped"
         PreprocessingPipeline(
-            PropagationConfig(num_hops=1), root=root, mode="blocked", block_size=512
+            PropagationConfig(num_hops=1), root=root, mode=mode, block_size=512
         ).run(small_dataset)
         result = PreprocessingPipeline(
-            PropagationConfig(num_hops=2), root=root, mode="blocked", block_size=512
+            PropagationConfig(num_hops=2), root=root, mode=mode, block_size=512
         ).run(small_dataset)
         reference = PreprocessingPipeline(PropagationConfig(num_hops=2)).run(small_dataset)
         reloaded = FeatureStore.load(root)
@@ -325,6 +342,44 @@ class TestBlockedEngineBehavior:
         assert in_core >= 4 * blocked, f"in-core peak {in_core} B, blocked peak {blocked} B"
         hop_matrix = dataset.num_nodes * dataset.num_features * np.dtype(config.accumulate_dtype).itemsize
         assert blocked < hop_matrix, f"blocked peak {blocked} B, one hop matrix {hop_matrix} B"
+
+    @pytest.mark.parametrize(
+        "name, dataset_kwargs, num_hops",
+        [
+            ("igb-medium", dict(seed=0, num_nodes=2000), 3),  # every node labeled
+            ("wiki", dict(seed=0, num_nodes=1500), 6),  # 7 matrices of 600-dim rows
+            ("papers100m", dict(seed=5, num_nodes=20_000), 3),  # ~1.4% labeled
+        ],
+        ids=["igb-medium", "wiki", "papers100m"],
+    )
+    def test_in_core_peak_memory_is_the_store_plus_two_hops(
+        self, tmp_path, name, dataset_kwargs, num_hops
+    ):
+        """The in-core (one-block) run holds the store, the CSR operator and
+        two full-graph hops in the accumulation dtype — the SpMM's input and
+        output, the floor for float64 accumulation — and nothing else beyond
+        5% of the store.  Traced like the blocked bound above."""
+        dataset = load_dataset(name, **dataset_kwargs)
+        config = PropagationConfig(num_hops=num_hops)
+        accumulate_dtype = np.dtype(config.accumulate_dtype)
+        operator = build_operator(config.operators[0], dataset.graph).astype(accumulate_dtype)
+        operator_bytes = operator.data.nbytes + operator.indices.nbytes + operator.indptr.nbytes
+        del operator
+        pipeline = PreprocessingPipeline(config, root=tmp_path / name)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = pipeline.run(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        store = result.store.nbytes()
+        hops = 2 * dataset.num_nodes * dataset.num_features * accumulate_dtype.itemsize
+        bound = store + hops + operator_bytes + 0.05 * store
+        assert peak <= bound, (
+            f"in-core peak {peak} B exceeds store {store} + two hops {hops} + "
+            f"operator {operator_bytes} B (+5% of the store)"
+        )
 
     def test_worker_pool_with_more_workers_than_blocks(self, small_dataset):
         """Idle workers (blocks < workers) must still barrier correctly."""

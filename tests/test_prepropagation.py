@@ -1,6 +1,7 @@
 """Tests for hop-wise feature propagation, the feature store and the pipeline."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ class TestPropagateFeatures:
 class TestHopFeatures:
     def _make(self, rows=6, dim=3, hops=2):
         rng = np.random.default_rng(0)
-        mats = [[rng.standard_normal((rows, dim)).astype(np.float32) for _ in range(hops + 1)]]
-        return HopFeatures(node_ids=np.arange(rows) * 2, matrices=mats)
+        packed = rng.standard_normal((hops + 1, rows, dim)).astype(np.float32)
+        return HopFeatures(node_ids=np.arange(rows) * 2, packed=packed)
 
     def test_properties(self):
         hf = self._make()
@@ -110,31 +111,30 @@ class TestHopFeatures:
         assert hf.num_hops == 2
         assert hf.num_kernels == 1
         assert hf.feature_dim == 3
-        assert len(hf.hop_list()) == 3
+        assert hf.num_matrices == 3
 
     def test_gather_rows(self):
         hf = self._make()
-        gathered = hf.gather(np.array([0, 5]))
+        gathered = FeatureStore(hf).gather(np.array([0, 5]))
         assert all(g.shape == (2, 3) for g in gathered)
-
-    def test_restrict(self):
-        hf = self._make()
-        sub = hf.restrict(np.array([1, 2]))
-        assert sub.num_rows == 2
-        assert np.array_equal(sub.node_ids, hf.node_ids[[1, 2]])
+        assert np.array_equal(gathered[1], hf.packed[1][[0, 5]])
 
     def test_misaligned_matrices_rejected(self):
         with pytest.raises(ValueError):
-            HopFeatures(node_ids=np.arange(3), matrices=[[np.zeros((4, 2))]])
+            HopFeatures(node_ids=np.arange(3), packed=np.zeros((1, 4, 2)))
 
     def test_empty_matrices_rejected(self):
         with pytest.raises(ValueError):
-            HopFeatures(node_ids=np.arange(3), matrices=[])
+            HopFeatures(node_ids=np.arange(3), packed=np.zeros((0, 3, 2)))
+        with pytest.raises(ValueError):
+            HopFeatures(node_ids=np.arange(3), packed=np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            HopFeatures(node_ids=np.arange(3), packed=np.zeros((3, 3, 2)), num_kernels=2)
 
     def test_from_full_matrices_slices_rows(self):
         full = [[np.arange(20).reshape(10, 2).astype(np.float32)]]
         hf = HopFeatures.from_full_matrices(full, np.array([2, 7]))
-        assert np.allclose(hf.matrices[0][0], [[4, 5], [14, 15]])
+        assert np.allclose(hf.packed[0], [[4, 5], [14, 15]])
 
 
 class TestFeatureStore:
@@ -144,18 +144,6 @@ class TestFeatureStore:
         gathered = store.gather(rows)
         assert len(gathered) == store.num_matrices
         assert gathered[0].shape == (3, store.feature_dim)
-
-    def test_iter_chunks_cover_all_rows(self, prepared_store):
-        store = prepared_store.store
-        seen = 0
-        for rows, mats in store.iter_chunks(chunk_size=200):
-            seen += rows.size
-            assert mats[0].shape[0] == rows.size
-        assert seen == store.num_rows
-
-    def test_iter_chunks_invalid(self, prepared_store):
-        with pytest.raises(ValueError):
-            list(prepared_store.store.iter_chunks(0))
 
     def test_file_backed_round_trip(self, small_dataset, tmp_path):
         config = PropagationConfig(num_hops=1)
@@ -229,15 +217,15 @@ class TestFeatureStore:
         matrices = [
             [rng.standard_normal((12, 5)).astype(np.float32) for _ in range(3)] for _ in range(2)
         ]
-        features = HopFeatures(node_ids=np.arange(12) * 3, matrices=matrices)
+        features = HopFeatures.from_full_matrices(matrices, np.arange(12))
         FeatureStore(features, root=tmp_path / "mk", layout=layout)
         reloaded = FeatureStore.load(tmp_path / "mk")
         assert reloaded.num_kernels == 2
         assert reloaded.num_hops == 2
         assert reloaded.num_matrices == 6
-        for kernel_got, kernel_want in zip(reloaded._features.matrices, matrices):
-            for got, want in zip(kernel_got, kernel_want):
-                assert np.array_equal(got, want)
+        for k, kernel_want in enumerate(matrices):
+            for r, want in enumerate(kernel_want):
+                assert np.array_equal(reloaded.matrices()[k * 3 + r], want)
 
     @pytest.mark.parametrize("layout", ["packed"])
     def test_multi_kernel_gather_round_trip(self, tmp_path, layout):
@@ -257,7 +245,11 @@ class TestFeatureStore:
             ]
             for k in range(num_kernels)
         ]
-        original = HopFeatures(node_ids=np.arange(10) * 7, matrices=matrices)
+        original = HopFeatures(
+            node_ids=np.arange(10) * 7,
+            packed=np.stack([m for kernel in matrices for m in kernel]),
+            num_kernels=num_kernels,
+        )
         FeatureStore(original, root=tmp_path / "mkg", layout=layout)
 
         meta = json.loads((tmp_path / "mkg" / "meta.json").read_text())
@@ -276,7 +268,51 @@ class TestFeatureStore:
                     f"kernel {k} hop {r} came back out of order"
                 )
         block = reloaded.gather_packed(rows)
-        assert np.array_equal(block, np.stack(original.gather(rows)))
+        assert np.array_equal(block, original.packed[:, rows])
+
+    @pytest.mark.parametrize("torn_file", ["packed_shape", "packed_dtype", "node_ids"])
+    def test_torn_store_is_rejected(self, small_dataset, tmp_path, torn_file):
+        """Every reader checks meta.json against the files it maps: a block or
+        an id list from another write is refused, never opened as a store of
+        another shape."""
+        from repro.prepropagation.blocked import open_store_arrays
+
+        root = tmp_path / "torn"
+        PreprocessingPipeline(PropagationConfig(num_hops=1), root=root).run(small_dataset)
+        if torn_file == "packed_shape":
+            other = tmp_path / "two-hop"
+            PreprocessingPipeline(PropagationConfig(num_hops=2), root=other).run(small_dataset)
+            shutil.copy(other / "packed.npy", root / "packed.npy")
+        elif torn_file == "packed_dtype":
+            np.save(root / "packed.npy", np.load(root / "packed.npy").astype(np.float64))
+        else:
+            np.save(root / "node_ids.npy", np.load(root / "node_ids.npy")[:-1])
+        for read in (FeatureStore.load, open_store_arrays):
+            with pytest.raises(ValueError, match="torn feature store"):
+                read(root)
+
+    def test_rerun_failing_before_meta_keeps_the_previous_store(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        """Regression: an in-core rerun that died after writing packed.npy but
+        before meta.json left a 2-hop block under a 1-hop meta.json, and load()
+        opened it as a 3-matrix store without complaint."""
+        from repro.prepropagation import store as store_module
+
+        root = tmp_path / "store"
+        first = PreprocessingPipeline(PropagationConfig(num_hops=1), root=root).run(small_dataset)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected failure before meta.json")
+
+        monkeypatch.setattr(store_module, "store_meta", boom)
+        with pytest.raises(RuntimeError, match="before meta.json"):
+            PreprocessingPipeline(PropagationConfig(num_hops=2), root=root).run(small_dataset)
+        monkeypatch.undo()
+        reloaded = FeatureStore.load(root)
+        assert (reloaded.num_hops, reloaded.num_matrices) == (1, 2)
+        assert np.array_equal(reloaded.packed_matrix(), first.store.packed_matrix())
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     def test_legacy_store_is_rejected(self, tmp_path, legacy_store):
         """Per-hop stores from older releases (with or without meta.json) are
