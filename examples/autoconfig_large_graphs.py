@@ -4,7 +4,8 @@ For each benchmark in the paper's Table 2 this example asks the automated
 configuration system where the pre-propagated input should live (GPU / host /
 storage), which training method to use (SGD-RR vs chunk reshuffling), and what
 training throughput to expect at 1-4 GPUs — first on the paper's server, then
-on a memory-constrained laptop to show the decisions are hardware-aware.
+on a memory-constrained laptop to show the decisions are hardware-aware.  A
+dataset whose input fits in no tier of a machine is reported as infeasible.
 
 Run with:  python examples/autoconfig_large_graphs.py
 """
@@ -40,7 +41,14 @@ def show_plans(hardware, title: str) -> None:
     print("-" * len(header))
     for key, info in PAPER_DATASETS.items():
         hops = info.paper_hops
-        plan = configurator.plan(info, profile_for(info, hops), hops=hops)
+        try:
+            plan = configurator.plan(info, profile_for(info, hops), hops=hops)
+        except MemoryError as error:
+            # the input fits in no tier of this machine: say so and go on
+            input_gb = info.preprocessed_bytes(hops) / 1e9
+            print(f"{info.name:18s} {hops:4d} {input_gb:7.1f}GB {'infeasible':>9s}")
+            print(f"{'':18s}      reason: {error}")
+            continue
         throughput = ", ".join(f"{g}:{t:.3f}" for g, t in sorted(plan.estimated_throughput.items()))
         print(
             f"{info.name:18s} {hops:4d} {plan.input_bytes / 1e9:7.1f}GB "

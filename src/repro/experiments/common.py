@@ -64,7 +64,6 @@ def prepare_pp_data(
     mode: str = "in_core",
     num_workers: int = 0,
     block_size: Optional[int] = None,
-    accumulate_dtype: str = "float64",
 ) -> PreparedPPData:
     """Load a dataset replica and run the pre-propagation pipeline.
 
@@ -73,9 +72,7 @@ def prepare_pp_data(
     so downstream accuracy results never depend on the choice.
     """
     dataset = load_dataset(name, seed=seed, num_nodes=num_nodes)
-    config = PropagationConfig(
-        num_hops=hops, operators=tuple(operators), accumulate_dtype=accumulate_dtype
-    )
+    config = PropagationConfig(num_hops=hops, operators=tuple(operators))
     pipeline = PreprocessingPipeline(
         config, mode=mode, num_workers=num_workers, block_size=block_size
     )

@@ -11,7 +11,7 @@ this engine; the modes differ only in block size.
 * with **one block and no workers** (the in-core mode, or any plan whose
   block covers the graph) the hop chain stays in RAM: each SpMM product is
   the next hop's input as it is, so the run holds the store, the CSR
-  operators and at most two ``(N, F)`` accumulate-dtype hops — no scratch
+  operators and at most two ``(N, F)`` hops in the store dtype — no scratch
   file and no copy;
 * with more blocks, hop ``r - 1 -> r`` is **double-buffered through two
   disk-backed scratch memmaps** (ping/pong) instead of RAM-resident
@@ -196,7 +196,7 @@ def _run_phase(
     stream the block's labeled rows into the store matrix (cast on
     assignment, so the only temporary is the gathered rows).  ``chained`` is
     the one-block case, whose chain stays in RAM: hop 1 reads the features in
-    the accumulate dtype, and each product is bound in ``sources`` as the
+    the store dtype, and each product is bound in ``sources`` as the
     next hop's input instead of being copied into a scratch buffer, the
     consumed input dropped, so at most two ``(N, F)`` hops are alive.
     Returns ``(spmm_seconds, store_write_seconds)``.
@@ -431,10 +431,14 @@ def _run_fingerprint(
     """Identity of a resumable run: any change here invalidates stale staging.
 
     ``layout`` is always ``"packed"``; it stays a part so manifests journaled
-    by earlier releases keep matching.  Deliberately excludes ``block_size``
-    and ``num_workers`` — both change only the tiling/scheduling of the
-    computation, never its bytes, so a run may resume with a different block
-    plan or worker count.
+    by earlier releases keep matching.  The ``"accumulate_dtype"`` part names
+    the dtype the chain accumulates in, which is the store dtype: float64
+    runs keep their fingerprints, and a float32 run staged by a release that
+    accumulated in float64 no longer matches, so its partial output (other
+    bytes) is discarded rather than resumed.  Deliberately excludes
+    ``block_size`` and ``num_workers`` — both change only the tiling /
+    scheduling of the computation, never its bytes, so a run may resume with
+    a different block plan or worker count.
     """
     parts = {
         "indptr": digest_array(graph.indptr),
@@ -450,7 +454,7 @@ def _run_fingerprint(
             [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
         ),
         "dtype": str(np.dtype(config.dtype)),
-        "accumulate_dtype": str(np.dtype(config.accumulate_dtype)),
+        "accumulate_dtype": str(np.dtype(config.dtype)),
         "layout": layout,
     }
     return digest_parts(parts)
@@ -565,16 +569,16 @@ def propagate_blocked(
     (store, timing):
         The store plus a per-phase timing dict: ``operator_seconds``
         (operator construction), ``propagate_seconds`` (SpMM + scratch
-        staging; includes the one-time accumulation-dtype cast of the
-        features), ``store_write_seconds`` (labeled-row streaming into the
-        store files), ``total_seconds`` (wall clock), and the resume
+        staging; includes the one-time store-dtype cast of features given
+        in another dtype), ``store_write_seconds`` (labeled-row streaming
+        into the store files), ``total_seconds`` (wall clock), and the resume
         counters ``phases_total`` / ``phases_resumed`` / ``phases_computed``.
         With workers the SpMM/write entries are summed across processes and
         may exceed wall time.
 
-    Results are bit-identical to the in-core
-    :func:`~repro.prepropagation.propagator.propagate_features` path for any
-    fixed ``accumulate_dtype``.
+    Results are bit-identical to
+    :func:`~repro.prepropagation.propagator.propagate_features` under the
+    same config: both accumulate in ``config.dtype``.
     """
     wall_timer = Timer().start()
     # note: no ascontiguousarray here — a full (N, F) copy is exactly what
@@ -607,7 +611,6 @@ def propagate_blocked(
     num_matrices = config.num_matrices
     num_rows = int(node_ids.size)
     dtype = np.dtype(config.dtype)
-    accumulate_dtype = np.dtype(config.accumulate_dtype)
     blocks = [
         (start, min(start + block_size, num_nodes))
         for start in range(0, num_nodes, block_size)
@@ -623,9 +626,9 @@ def propagate_blocked(
     operators = []
     for k, name in enumerate(config.operators):
         with operator_timer:
-            operator = build_operator(name, graph, **config.kwargs_for(k))
-            if operator.dtype != accumulate_dtype:
-                operator = operator.astype(accumulate_dtype)
+            operator = build_operator(name, graph, **config.kwargs_for(k)).astype(
+                dtype, copy=False
+            )
         operators.append(operator)
 
     # ---------------- staging / scratch / journal roots -------------------- #
@@ -658,7 +661,7 @@ def propagate_blocked(
                     num_rows=num_rows,
                     feature_dim=feature_dim,
                     dtype=dtype.str,
-                    accumulate_dtype=accumulate_dtype.str,
+                    accumulate_dtype=dtype.str,
                     block_size=int(block_size),
                 )
             )
@@ -682,20 +685,20 @@ def propagate_blocked(
         scratch_shape = (num_nodes, feature_dim)
         if chained or num_hops == 0:
             pass  # no hop reads a scratch buffer
-        elif features.dtype != accumulate_dtype or not features.flags.c_contiguous:
-            # hop 1 needs an accumulate-dtype, SpMM-friendly source; stream
+        elif features.dtype != dtype or not features.flags.c_contiguous:
+            # hop 1 needs a store-dtype, SpMM-friendly source; stream
             # the features into scratch block by block (O(block x F) resident).
             # Rebuilt even on resume — it is a pure function of the features,
             # cheaper to recreate than to digest-verify.
             cast_path = scratch_root / "cast.dat"
-            cast = np.memmap(cast_path, dtype=accumulate_dtype, mode="w+", shape=scratch_shape)
+            cast = np.memmap(cast_path, dtype=dtype, mode="w+", shape=scratch_shape)
             began = time.perf_counter()
             for start, stop in blocks:  # stream-cast: O(block x F) resident
-                cast[start:stop] = features[start:stop].astype(accumulate_dtype, copy=False)
+                cast[start:stop] = features[start:stop]
             spmm_seconds += time.perf_counter() - began
             sources["hop1_src"] = cast
             scratch_specs["hop1_src"] = _ArraySpec(
-                str(cast_path), scratch_shape, accumulate_dtype.str, npy=False
+                str(cast_path), scratch_shape, dtype.str, npy=False
             )
         else:
             sources["hop1_src"] = features
@@ -707,10 +710,10 @@ def propagate_blocked(
                 # phases left behind — the scratch chain of the first
                 # recomputed hop lives here
                 sources[tag] = _open_or_create_raw(
-                    path, scratch_shape, accumulate_dtype, reuse=resuming
+                    path, scratch_shape, dtype, reuse=resuming
                 )
                 scratch_specs[tag] = _ArraySpec(
-                    str(path), scratch_shape, accumulate_dtype.str, npy=False
+                    str(path), scratch_shape, dtype.str, npy=False
                 )
 
         # what workers receive as "features": under fork the parent's array is

@@ -11,7 +11,7 @@ modes differ only in block size:
 
 * ``"in_core"`` — one block, inline: the hop chain stays in RAM, and the run
   holds the labeled-row store, the CSR operators and two full-graph
-  ``(N, F)`` hops in the accumulation dtype.
+  ``(N, F)`` hops in the store dtype.
 * ``"blocked"`` — the planner's block size: row-tiled SpMM, disk-backed hop
   scratch, labeled rows streamed straight into the packed store file,
   optional worker processes, resumable.  Peak memory ``O(block_size x F)``
@@ -19,9 +19,9 @@ modes differ only in block size:
 * ``"auto"`` — in-core when its working set fits the memory budget, else
   blocked.
 
-For a fixed accumulation dtype every mode writes the same bytes as
-:func:`~repro.prepropagation.propagator.propagate_features`, the full-graph
-reference they are tested against.
+Every mode accumulates in the store dtype and writes the same bytes as
+:func:`~repro.prepropagation.propagator.propagate_features` under the same
+config, the full-graph reference they are tested against.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class PreprocessingResult:
             "expanded_bytes": self.expanded_feature_bytes,
             "expansion_factor": self.expansion_factor,
             "labeled_rows": self.labeled_rows,
-            # self-describing Table 7 runs: how the SpMM accumulated and which
-            # engine ran are part of the measurement, not incidentals
-            "accumulate_dtype": self.config.accumulate_dtype,
+            # self-describing Table 7 runs: the dtype the SpMM accumulated in
+            # (the store dtype) and the engine that ran are part of the
+            # measurement, not incidentals
+            "dtype": self.config.dtype,
             "mode": self.mode,
         }
         for key in ("operator_seconds", "propagate_seconds", "store_write_seconds"):
@@ -156,15 +157,12 @@ class PreprocessingPipeline:
     # ------------------------------------------------------------------ #
     def _in_core_transient_bytes(self, dataset: NodeClassificationDataset, num_labeled: int) -> int:
         """Peak working set of the in-core (one-block) run: the labeled-row
-        store plus the chain's two full-graph accumulate-dtype hops."""
-        accumulate_itemsize = np.dtype(self.config.accumulate_dtype).itemsize
-        stored_itemsize = np.dtype(self.config.dtype).itemsize
+        store plus the chain's two full-graph hops, all in the store dtype."""
+        itemsize = np.dtype(self.config.dtype).itemsize
         return int(
             dataset.num_features
-            * (
-                num_labeled * stored_itemsize * self.config.num_matrices
-                + dataset.num_nodes * 2 * accumulate_itemsize
-            )
+            * itemsize
+            * (num_labeled * self.config.num_matrices + dataset.num_nodes * 2)
         )
 
     def _resolve_mode(self, dataset: NodeClassificationDataset, num_labeled: int) -> str:
@@ -190,7 +188,7 @@ class PreprocessingPipeline:
         plan = plan_propagation_blocks(
             num_nodes=dataset.num_nodes,
             feature_dim=dataset.num_features,
-            accumulate_itemsize=np.dtype(self.config.accumulate_dtype).itemsize,
+            accumulate_itemsize=np.dtype(self.config.dtype).itemsize,
             budget_bytes=self.memory_budget_bytes,
             num_workers=self.num_workers,
         )

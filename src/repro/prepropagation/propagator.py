@@ -36,24 +36,44 @@ class PropagationConfig:
         Extra keyword arguments forwarded to each operator builder.
     dtype:
         Storage dtype of the propagated features (float32 matches the paper's
-        byte accounting).  It is also the *training* precision: the trainers
-        cast the model to the dtype of the features they read and the autograd
-        engine computes in it, so ``dtype="float64"`` is how to train in
-        double precision.
-    accumulate_dtype:
-        Dtype the SpMM chain runs in (operator data and the hop-``r`` input to
-        hop ``r + 1``).  The float64 default maximizes numerical headroom but
-        holds ``8 N F``-byte working matrices — on top of the stored float32
-        hops, a silent 2x of the resident working set.  ``"float32"`` halves
-        the accumulator at a bounded precision cost (normalized operators
-        keep hop magnitudes O(1), so error stays ~1e-6 relative).
+        byte accounting) and the dtype the SpMM chain accumulates in: the
+        operator values and every hop's input are cast to it, so no hop
+        moves more bytes than it keeps.  It is also the *training* precision:
+        the trainers cast the model to the dtype of the features they read
+        and the autograd engine computes in it, so ``dtype="float64"`` is how
+        to train (and propagate) in double precision.
+
+        Error bound of a float32 build against the float64 build of the same
+        float32 features: at hop ``r`` every stored value satisfies
+        ``|x32 - x64| <= r * c * eps32 * (|B|^r |X|)`` elementwise (to first
+        order), with ``eps32 = 2**-24`` the unit roundoff and ``c`` the
+        rounding steps one hop adds per value: the operator's longest row
+        (its products and sums) plus one for the cast of the float64-built
+        operator values.  Per normalisation:
+
+        * ``normalized_adjacency`` / ``random_walk``: ``c = d_max + 2``
+          (``d_max + 1`` without the self-loop);
+        * ``ppr`` / ``heat``: ``c`` = the densest operator row + 1, at most
+          the ``num_iterations``-hop neighbourhood (the series itself is
+          summed in float64 and rounded once).
+
+        The error is measured against ``|B|^r |X|``, and the normalisation is
+        what keeps that scale at the scale of ``X``, so the error grows
+        linearly in ``r``: ``random_walk`` has row sums ``<= 1``;
+        ``normalized_adjacency`` (symmetrized, the default), ``ppr`` and
+        ``heat`` are nonnegative and symmetric with spectral radius ``<= 1``.
+        A directed ``normalized_adjacency(make_undirected=False)`` has no such
+        bound (a row can sum to ``sqrt(d)``).  Zero-degree rows of
+        ``normalized_adjacency`` / ``random_walk`` are exact.  Measured
+        ``max |x32 - x64| / max |x64|`` per stored matrix: <= 1.6e-7
+        (igb-medium, 12 000 nodes, 3 hops) and <= 4.8e-7 (wiki, 4 000 nodes,
+        6 hops), at most 13 % of the bound.
     """
 
     num_hops: int = 3
     operators: tuple[str, ...] = ("normalized_adjacency",)
     operator_kwargs: tuple[dict, ...] = field(default=())
     dtype: str = "float32"
-    accumulate_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.num_hops < 0:
@@ -62,10 +82,8 @@ class PropagationConfig:
             raise ValueError("at least one operator is required")
         if self.operator_kwargs and len(self.operator_kwargs) != len(self.operators):
             raise ValueError("operator_kwargs must match operators length (or be empty)")
-        if np.dtype(self.accumulate_dtype).name not in ("float32", "float64"):
-            raise ValueError(
-                f"accumulate_dtype must be float32 or float64, got {self.accumulate_dtype!r}"
-            )
+        if np.dtype(self.dtype).name not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def num_kernels(self) -> int:
@@ -93,6 +111,12 @@ def propagate_features(
     :func:`~repro.prepropagation.blocked.propagate_blocked`, which must write
     exactly these values for the stored rows.
 
+    Every hop runs in ``config.dtype``, operator values included: one hop is
+    ``2 nnz(B) F`` flops (:func:`flops_estimate`) over an ``(N, F)`` input and
+    output of ``config.dtype`` itemsize, so a float32 build moves half the
+    bytes of a float64 one for the same flops, at the error bound stated on
+    :class:`PropagationConfig`.
+
     Returns
     -------
     hop_features:
@@ -107,25 +131,24 @@ def propagate_features(
             f"features must be (num_nodes, F); got {features.shape} for {graph.num_nodes} nodes"
         )
     dtype = np.dtype(config.dtype)
-    accumulate_dtype = np.dtype(config.accumulate_dtype)
 
     operator_time = Timer()
     propagate_time = Timer()
     hop_features: list[list[np.ndarray]] = []
     for k, name in enumerate(config.operators):
         with operator_time:
-            operator = build_operator(name, graph, **config.kwargs_for(k))
-            if operator.dtype != accumulate_dtype:
-                # cast the operator once so the SpMM truly accumulates in the
-                # configured dtype (a float64 operator would silently upcast a
-                # float32 hop matrix back to a full float64 copy)
-                operator = operator.astype(accumulate_dtype)
-        per_hop = [features.astype(dtype, copy=True)]
-        current = features.astype(accumulate_dtype, copy=False)
+            # cast the operator once so the SpMM accumulates in the store
+            # dtype (a float64 operator would upcast a float32 hop matrix
+            # back to a full float64 copy)
+            operator = build_operator(name, graph, **config.kwargs_for(k)).astype(
+                dtype, copy=False
+            )
+        current = features.astype(dtype, copy=True)
+        per_hop = [current]
         with propagate_time:
             for _ in range(config.num_hops):
                 current = operator @ current
-                per_hop.append(current.astype(dtype, copy=True))
+                per_hop.append(current)
         hop_features.append(per_hop)
         logger.info(
             "propagated kernel %s: %d hops over %d nodes", name, config.num_hops, graph.num_nodes
@@ -143,8 +166,8 @@ def flops_estimate(graph: CSRGraph, feature_dim: int, config: PropagationConfig)
 
     Each hop is one SpMM: ``2 * nnz(B) * F`` flops; used by the amortization
     analysis to extrapolate paper-scale preprocessing cost from replica runs.
-    The count is independent of ``config.accumulate_dtype`` — float32
-    accumulation changes bandwidth and memory, not the MAC count.
+    The count is independent of ``config.dtype`` — float32 accumulation
+    changes bandwidth and memory, not the MAC count.
     """
     nnz = graph.num_edges + graph.num_nodes  # self loops added by normalization
     return int(2 * nnz * feature_dim * config.num_hops * config.num_kernels)
@@ -157,10 +180,9 @@ def expanded_bytes(
 
     ``K (R + 1)`` matrices of ``num_rows x feature_dim`` values (Section 3.4).
     This counts the *stored* bytes only (``dtype_bytes`` per value, the
-    storage dtype).  The in-core propagation additionally holds ~2 working
-    matrices of ``N x feature_dim`` in ``config.accumulate_dtype`` while it
-    runs — with the float64 default that transient is ``16 N F`` bytes on top
-    of the stored hops; the blocked engine replaces it with O(block_size x F)
-    scratch.
+    storage dtype).  The in-core propagation additionally holds 2 working
+    matrices of ``N x feature_dim`` in the store dtype while it runs (the
+    SpMM's input and output: ``8 N F`` bytes in float32); the blocked engine
+    replaces them with O(block_size x F) scratch.
     """
     return int(num_rows * feature_dim * dtype_bytes * config.num_matrices)

@@ -87,6 +87,8 @@ class RunManifest:
     num_rows: int
     feature_dim: int
     dtype: str
+    #: the dtype the run accumulated in; equal to ``dtype`` for runs of this
+    #: release, kept so manifests of earlier releases still parse
     accumulate_dtype: str
     block_size: int
     version: int = 1

@@ -10,8 +10,8 @@ The update algorithm, end to end:
    (:func:`compute_patches`): per kernel, nested dependency cones are grown
    backwards hop by hop on a node mask over the operator's support, the
    :class:`~repro.graph.operators.PartialOperator` rows of the widest cone
-   are built once, then values flow forward through the same SpMM kernel, the
-   same accumulation dtype and the same casts the blocked engine uses — so a
+   are built once, then values flow forward through the same SpMM kernel in
+   the same dtype (the store's) the blocked engine uses — so a
    patched row is **byte-identical** to a from-scratch re-propagation of the
    updated graph.
 4. **Stage** — clone the current store version, write the patch rows (one
@@ -110,9 +110,11 @@ def compute_patches(
     columns the operator rows of ``D[h]`` touch, so the cones are nested),
     the operator rows of the widest cone ``D[1]`` are built once and every
     higher hop's rows cut from that block, then values flow forward hop by
-    hop; every SpMM runs the same scipy kernel over byte-identical operator
-    rows and byte-identical source values as a full blocked re-propagation,
-    so the patches match a from-scratch rebuild bit for bit.
+    hop; every SpMM runs the same scipy kernel, in the store dtype
+    ``config.dtype``, over byte-identical operator rows and byte-identical
+    source values as a full blocked re-propagation, so the patches match a
+    from-scratch rebuild bit for bit, and a float32 store's patch moves
+    float32 bytes.
 
     ``target_nodes`` must lie in ``[0, num_nodes)``; ids that are not stored
     rows are skipped.  ``partials`` lets callers share pre-built per-kernel
@@ -131,7 +133,6 @@ def compute_patches(
     patch_nodes = node_ids[patch_rows]
     num_hops = config.num_hops
     dtype = np.dtype(config.dtype)
-    accumulate_dtype = np.dtype(config.accumulate_dtype)
     if patch_nodes.size == 0:
         return patch_nodes, patch_rows, [
             np.empty((0, new_features.shape[1]), dtype=dtype) for _ in range(config.num_matrices)
@@ -162,15 +163,13 @@ def compute_patches(
             cones.append(np.flatnonzero(cone))
         cones.reverse()
         widest = cones[1]
-        block = partial.rows(widest)
-        if block.dtype != accumulate_dtype:
-            block = block.astype(accumulate_dtype)
+        block = partial.rows(widest).astype(dtype, copy=False)
         # forward pass: ``buffer`` holds the hop h-1 values at cones[h-1]; no
         # other row is read, so it needs no zero fill
         if cones[0].size == num_nodes:
-            buffer = new_features.astype(accumulate_dtype)
+            buffer = new_features.astype(dtype)
         else:
-            buffer = np.empty((num_nodes, new_features.shape[1]), dtype=accumulate_dtype)
+            buffer = np.empty((num_nodes, new_features.shape[1]), dtype=dtype)
             buffer[cones[0]] = new_features[cones[0]]
         for hop in range(1, num_hops + 1):
             rows = cones[hop]
@@ -179,7 +178,7 @@ def compute_patches(
             else:
                 values = block @ buffer
             patch = values if rows.size == patch_nodes.size else values[np.searchsorted(rows, patch_nodes)]
-            patches.append(patch.astype(dtype, copy=False))
+            patches.append(patch)
             if rows.size == num_nodes:
                 buffer = values
             elif hop < num_hops:
@@ -198,7 +197,11 @@ def _fingerprint_parts(
     """Everything an update's identity hashes except the source version.
 
     ``layout`` is always ``"packed"``; it stays a part so ``LAST_UPDATE``
-    records and staged runs from earlier releases keep matching.  Digesting
+    records and staged runs from earlier releases keep matching.  So does the
+    ``"accumulate_dtype"`` key, whose value is now the store dtype (the
+    dtype the patch accumulates in): float64 stores keep their fingerprints,
+    and :func:`_legacy_parts` gives the form earlier releases wrote for a
+    float32 store, which accumulated in float64.  Digesting
     the arrays is the expensive part, and one ``apply_update`` asks for the
     fingerprint against up to three source versions: do it once.
     """
@@ -217,8 +220,28 @@ def _fingerprint_parts(
             [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
         ),
         "dtype": str(np.dtype(config.dtype)),
-        "accumulate_dtype": str(np.dtype(config.accumulate_dtype)),
+        "accumulate_dtype": str(np.dtype(config.dtype)),
         "layout": layout,
+    }
+
+
+def _legacy_parts(parts: Dict[str, object]) -> Dict[str, object]:
+    """``parts`` as releases that accumulated every store in float64 wrote them.
+
+    Only the two "already published" checks accept this form: a retry across
+    the upgrade must find the update it already applied.  A partially staged
+    run under it is never resumed — its bytes were accumulated in another
+    precision — so it is discarded like any other foreign run.
+    """
+    return {**parts, "accumulate_dtype": "float64"}
+
+
+def _published_by(parts: Dict[str, object], fingerprint: object, source_version: str) -> bool:
+    """Whether ``fingerprint`` names this update from ``source_version``, in
+    the current or the pre-upgrade form."""
+    return fingerprint in {
+        _update_fingerprint(parts, source_version),
+        _update_fingerprint(_legacy_parts(parts), source_version),
     }
 
 
@@ -434,8 +457,7 @@ def apply_update(
 
     last = _load_last_update(versions)
     if last is not None and last.get("target_version") == source_version:
-        prior = _update_fingerprint(parts, str(last.get("source_version")))
-        if last.get("fingerprint") == prior:
+        if _published_by(parts, last.get("fingerprint"), str(last.get("source_version"))):
             # this exact update is already published and current — the
             # caller's acknowledgement was lost, not the update.  Hand the
             # published version back instead of applying the delta twice,
@@ -490,8 +512,7 @@ def apply_update(
             manifest is not None
             and info is not None
             and info.get("target_version") == source_version
-            and manifest.fingerprint
-            == _update_fingerprint(parts, str(info.get("source_version")))
+            and _published_by(parts, manifest.fingerprint, str(info.get("source_version")))
         ):
             # CURRENT already points at this exact update's target: the crash
             # hit between repointing CURRENT and journaling the publish entry.
@@ -618,7 +639,7 @@ def apply_update(
                 num_rows=int(node_ids.size),
                 feature_dim=int(features.shape[1]),
                 dtype=np.dtype(config.dtype).str,
-                accumulate_dtype=np.dtype(config.accumulate_dtype).str,
+                accumulate_dtype=np.dtype(config.dtype).str,
                 block_size=0,
             )
         )

@@ -1,5 +1,6 @@
 """Tests for hop-wise feature propagation, the feature store and the pipeline."""
 
+import dataclasses
 import json
 import shutil
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.operators import normalized_adjacency
+from repro.graph.builders import from_edge_index, symmetrize
+from repro.graph.operators import build_operator, normalized_adjacency
 from repro.prepropagation import (
     FeatureStore,
     HopFeatures,
@@ -80,23 +82,77 @@ class TestPropagateFeatures:
         assert flops_estimate(tiny_graph, 4, config) > 0
         assert expanded_bytes(100, 10, config) == 100 * 10 * 4 * 3
 
-    def test_invalid_accumulate_dtype_rejected(self):
+    def test_invalid_dtype_rejected(self):
+        """The store dtype is the SpMM's accumulation dtype: float32 or
+        float64 only."""
         with pytest.raises(ValueError):
-            PropagationConfig(num_hops=1, accumulate_dtype="float16")
+            PropagationConfig(num_hops=1, dtype="float16")
         with pytest.raises(ValueError):
-            PropagationConfig(num_hops=1, accumulate_dtype="int64")
+            PropagationConfig(num_hops=1, dtype="int64")
 
-    def test_float32_accumulation_close_to_float64(self, tiny_graph):
-        features = np.random.default_rng(2).standard_normal((8, 4)).astype(np.float32)
-        hops64, _ = propagate_features(
-            tiny_graph, features, PropagationConfig(num_hops=3)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_float32_accumulation_close_to_float64(self, data):
+        """The float32 error bound stated on ``PropagationConfig.dtype``, hop by
+        hop, against the float64 build of the same float32 features: at hop
+        ``r``, ``|x32 - x64| <= r * c * eps32 * (|B|^r |X|)`` with ``c`` the
+        operator's longest row + 1.  Random directed and undirected graphs with
+        zero-degree nodes, self-loop edges and duplicates; all four operators,
+        with and without added self-loops.  Also pins what keeps the bound
+        linear in hops — row sums <= 1 (random walk) or a symmetric operator
+        with spectral radius <= 1 — and that zero-degree rows are exact."""
+        num_nodes = data.draw(st.integers(1, 24))
+        linked = data.draw(st.integers(1, num_nodes))  # nodes >= linked are isolated
+        node = st.integers(0, linked - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * num_nodes))
+        graph = from_edge_index(
+            np.array(edges, dtype=np.int64).reshape(-1, 2).T, num_nodes=num_nodes
         )
-        hops32, _ = propagate_features(
-            tiny_graph, features, PropagationConfig(num_hops=3, accumulate_dtype="float32")
+        if data.draw(st.booleans()):
+            graph = symmetrize(graph)
+        name, kwargs, symmetric = data.draw(
+            st.sampled_from(
+                [
+                    ("normalized_adjacency", {}, True),
+                    ("normalized_adjacency", {"add_self_loop": False}, True),
+                    ("normalized_adjacency", {"make_undirected": False}, False),
+                    ("random_walk", {}, False),
+                    ("random_walk", {"add_self_loop": False}, False),
+                    ("ppr", {"num_iterations": 3}, True),
+                    ("heat", {"num_iterations": 3}, True),
+                ]
+            )
         )
-        for m64, m32 in zip(hops64[0], hops32[0]):
-            assert m32.dtype == np.float32
-            assert np.allclose(m64, m32, atol=1e-6)
+        config32 = PropagationConfig(
+            num_hops=data.draw(st.integers(1, 6)), operators=(name,), operator_kwargs=(kwargs,)
+        )
+        config64 = dataclasses.replace(config32, dtype="float64")
+        features = np.random.default_rng(num_nodes).standard_normal((num_nodes, 3))
+        features = features.astype(np.float32)
+        hops32, _ = propagate_features(graph, features, config32)
+        hops64, _ = propagate_features(graph, features, config64)
+
+        operator = abs(build_operator(name, graph, **kwargs))
+        if name == "random_walk":
+            assert np.asarray(operator.sum(axis=1)).max(initial=0.0) <= 1 + 1e-12
+        elif symmetric:
+            dense = operator.toarray()
+            assert np.allclose(dense, dense.T, rtol=0, atol=1e-15)
+            assert np.abs(np.linalg.eigvalsh(dense)).max() <= 1 + 1e-9
+        c = int(np.diff(operator.indptr).max(initial=0)) + 1
+        isolated = np.setdiff1d(np.arange(num_nodes), np.array(edges, dtype=np.int64))
+        scale = np.abs(features.astype(np.float64))  # |B|^r |X| at r = 0
+        for r, (m32, m64) in enumerate(zip(hops32[0], hops64[0])):
+            assert m32.dtype == np.float32 and m64.dtype == np.float64
+            error = np.abs(m32.astype(np.float64) - m64)
+            # 1e-3 of slack covers the second-order terms and the float64
+            # build's own rounding, both ~1e-7 of the bound
+            assert np.all(error <= r * c * 2.0**-24 * scale * (1 + 1e-3)), (
+                f"hop {r}: max error {error.max()} over bound {r * c * 2.0**-24} x |B|^r|X|"
+            )
+            if name in ("normalized_adjacency", "random_walk"):
+                assert np.array_equal(m32[isolated], m64[isolated])
+            scale = operator @ scale
 
 
 class TestHopFeatures:
@@ -348,9 +404,11 @@ class TestPipeline:
         assert {"hops", "kernels", "wall_seconds", "expansion_factor"} <= set(prepared_store.summary())
 
     def test_summary_is_self_describing(self, prepared_store):
-        """Tab-7 runs need the accumulation dtype and engine in the record."""
+        """Tab-7 runs need the dtype the SpMM accumulated in (the store
+        dtype) and the engine in the record."""
         summary = prepared_store.summary()
-        assert summary["accumulate_dtype"] == prepared_store.config.accumulate_dtype
+        assert summary["dtype"] == prepared_store.config.dtype == "float32"
+        assert "accumulate_dtype" not in summary
         assert summary["mode"] == "in_core"
         assert {"operator_seconds", "propagate_seconds", "store_write_seconds"} <= set(summary)
 

@@ -22,6 +22,7 @@ flakiness: the same plan fires the same faults at the same visits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -346,6 +347,43 @@ class TestBlockedResume:
         # nothing journaled under the old fingerprint may be trusted
         assert timing["phases_resumed"] == 0
         assert timing["phases_computed"] == NUM_PHASES
+
+    def test_legacy_partial_build_is_discarded_not_resumed(
+        self, sparse_label_dataset, labeled_rows, tmp_path, monkeypatch
+    ):
+        """A float32 run staged by a release that accumulated in float64
+        carries the pre-upgrade fingerprint (``"accumulate_dtype": "float64"``)
+        and other bytes: it is rolled back, never resumed, and the rebuild is
+        byte-identical to a fresh one."""
+        from repro.prepropagation import blocked as blocked_module
+
+        reference = tmp_path / "reference"
+        _propagate(sparse_label_dataset, labeled_rows, reference, "packed")
+        root = tmp_path / "legacy"
+        hashed = []
+        real = blocked_module.digest_parts
+        monkeypatch.setattr(
+            blocked_module, "digest_parts", lambda parts: (hashed.append(parts), real(parts))[1]
+        )
+        _interrupt_at(sparse_label_dataset, labeled_rows, root, "packed", boundary=5)
+        monkeypatch.undo()
+        assert hashed[-1]["accumulate_dtype"] == "float32"
+        journal = PhaseJournal(root.parent / f".{root.name}.staging")
+        manifest = journal.load_manifest()
+        assert manifest.fingerprint == real(hashed[-1])
+        journal.write_manifest(
+            dataclasses.replace(
+                manifest,
+                fingerprint=real({**hashed[-1], "accumulate_dtype": "float64"}),
+                accumulate_dtype="<f8",
+            )
+        )
+        _, timing = _propagate(
+            sparse_label_dataset, labeled_rows, root, "packed", resume=True
+        )
+        assert timing["phases_resumed"] == 0
+        assert timing["phases_computed"] == NUM_PHASES
+        _assert_store_bytes_equal(reference, root)
 
     def test_torn_store_write_is_detected_and_recomputed(
         self, sparse_label_dataset, labeled_rows, tmp_path

@@ -18,6 +18,7 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -453,17 +454,135 @@ class TestApplyUpdate:
 
     def test_update_fingerprint_is_stable_across_releases(self, tiny_graph):
         """Staged runs and ``LAST_UPDATE.json`` written by an earlier release
-        must still be recognised: these values were computed before the
-        fingerprint was split into shared parts + source version."""
-        from repro.updates.apply import _fingerprint_parts, _update_fingerprint
+        must still be recognised.  The first two values were computed before
+        the fingerprint was split into shared parts + source version, when a
+        float32 store accumulated in float64: they pin the pre-upgrade form.
+        A float64 store's fingerprint did not change with the upgrade."""
+        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
 
         features = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
         delta = GraphDelta(insertions=np.array([[0, 2]]), deletions=np.array([[4, 5]]))
-        parts = _fingerprint_parts(
-            tiny_graph, features, delta, PropagationConfig(num_hops=2), np.arange(0, 8, 2), "packed"
+
+        def parts_for(config):
+            return _fingerprint_parts(
+                tiny_graph, features, delta, config, np.arange(0, 8, 2), "packed"
+            )
+
+        parts = parts_for(PropagationConfig(num_hops=2))
+        legacy = _legacy_parts(parts)
+        assert _update_fingerprint(legacy, "base") == "aa343279f979517e7888dda43031859a"
+        assert _update_fingerprint(legacy, "v0001") == "caf7c4bf508e99908077c1ddf250be44"
+        assert _update_fingerprint(parts, "base") == "b0c5e9a4d255996418b7b6ec6ccdf1df"
+        assert _update_fingerprint(parts, "v0001") == "618a451a00a943de3f5e5256e5d17765"
+        parts64 = parts_for(PropagationConfig(num_hops=2, dtype="float64"))
+        assert _legacy_parts(parts64) == parts64
+        assert _update_fingerprint(parts64, "base") == "c85f99e59c61c24001620cf52dfe0f13"
+        assert _update_fingerprint(parts64, "v0001") == "194e4ffae94bb48da206bdf4f6f87516"
+
+    @pytest.mark.parametrize("record", ["last_update", "publish_crash"])
+    def test_retry_across_the_upgrade_finds_the_legacy_record(self, tmp_path, record):
+        """An update published by a release that accumulated float32 stores in
+        float64 names itself by the pre-upgrade fingerprint — in
+        ``LAST_UPDATE.json``, or, after a crash between repointing ``CURRENT``
+        and the cleanup, in the staging manifest.  A retry after the upgrade
+        hands that version back untouched instead of applying the delta a
+        second time."""
+        from repro.prepropagation.blocked import open_store_arrays
+        from repro.resilience.checkpoint import PhaseJournal, RunManifest
+        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
+
+        graph = scenario_graph()
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((400, 6)).astype(np.float32)
+        node_ids = np.unique(rng.integers(0, 400, 200))
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=node_ids,
+            root=tmp_path / "store", block_size=100,
         )
-        assert _update_fingerprint(parts, "base") == "aa343279f979517e7888dda43031859a"
-        assert _update_fingerprint(parts, "v0001") == "caf7c4bf508e99908077c1ddf250be44"
+        delta = scenario_delta(graph, seed=30)
+        first = apply_update(tmp_path / "store", graph, features, delta, config)
+        versions = VersionedStore(tmp_path / "store")
+        # what the earlier release published: float64 accumulation, cast on store
+        legacy_bytes = from_scratch(
+            first.new_graph,
+            first.new_features,
+            PropagationConfig(num_hops=2, dtype="float64"),
+            node_ids,
+        ).astype(np.float32)
+        assert legacy_bytes.tobytes() != np.asarray(first.store.packed_matrix()).tobytes()
+        _, packed = open_store_arrays(versions.path_for("v0001"))
+        packed[:] = legacy_bytes
+        packed.flush()
+        del packed
+        parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
+        legacy = _update_fingerprint(_legacy_parts(parts), BASE_VERSION)
+        last_update = versions.versions_root / "LAST_UPDATE.json"
+        if record == "last_update":
+            payload = json.loads(last_update.read_text())
+            payload["fingerprint"] = legacy
+            last_update.write_text(json.dumps(payload))
+        else:
+            last_update.unlink()
+            journal = PhaseJournal(versions.staging_root)
+            journal.write_manifest(
+                RunManifest(
+                    fingerprint=legacy, layout="packed", num_kernels=1, num_hops=2,
+                    num_rows=int(node_ids.size), feature_dim=6, dtype="<f4",
+                    accumulate_dtype="<f8", block_size=0,
+                )
+            )
+            journal.close()
+            (versions.staging_root / "update.json").write_text(
+                json.dumps({"source_version": BASE_VERSION, "target_version": "v0001"})
+            )
+        retry = apply_update(tmp_path / "store", graph, features, delta, config)
+        assert retry.status == "applied" and retry.version == "v0001" and retry.resumed
+        assert np.asarray(retry.store.packed_matrix()).tobytes() == legacy_bytes.tobytes()
+        assert versions.list_versions() == ["v0001"]
+        assert versions.current_version() == "v0001"
+        assert not versions.staging_root.exists()
+
+    def test_legacy_partial_update_is_rolled_back_not_resumed(self, tmp_path):
+        """A partially staged update under the pre-upgrade fingerprint holds
+        float64-accumulated bytes: it is discarded, never resumed, and the
+        rerun is byte-identical to a from-scratch build."""
+        from repro.resilience.checkpoint import PhaseJournal
+        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
+
+        graph = scenario_graph(num_nodes=200, num_edges=1200)
+        rng = np.random.default_rng(7)
+        features = rng.standard_normal((200, 6)).astype(np.float32)
+        node_ids = np.unique(rng.integers(0, 200, 120))
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(
+            graph, features, config, node_ids=node_ids,
+            root=tmp_path / "store", block_size=50,
+        )
+        delta = scenario_delta(graph, seed=10)
+        plan = FaultPlan(specs=[FaultSpec(site="update.journal", kind="ioerror", at_hit=2)])
+        with pytest.raises(OSError):
+            apply_update(tmp_path / "store", graph, features, delta, config, fault_plan=plan)
+        versions = VersionedStore(tmp_path / "store")
+        journal = PhaseJournal(versions.staging_root)
+        manifest = journal.load_manifest()
+        assert [entry["phase"] for entry in journal.entries()] == ["clone"]
+        parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
+        assert manifest.fingerprint == _update_fingerprint(parts, BASE_VERSION)
+        journal.write_manifest(
+            dataclasses.replace(
+                manifest,
+                fingerprint=_update_fingerprint(_legacy_parts(parts), BASE_VERSION),
+                accumulate_dtype="<f8",
+            )
+        )
+        journal.close()
+        result = apply_update(tmp_path / "store", graph, features, delta, config)
+        assert result.status == "applied" and result.version == "v0001"
+        assert not result.resumed
+        expected = from_scratch(result.new_graph, result.new_features, config, node_ids)
+        assert np.asarray(result.store.packed_matrix()).tobytes() == expected.tobytes()
+        assert not versions.staging_root.exists()
 
     def test_legacy_store_is_rejected_without_side_effects(
         self, tmp_path, tiny_graph, legacy_store
@@ -537,7 +656,7 @@ class TestApplyUpdate:
             num_hops=data.draw(st.integers(0, 3)),
             operators=(first, "ppr"),
             operator_kwargs=(first_kwargs, {"num_iterations": data.draw(st.integers(1, 3))}),
-            accumulate_dtype=data.draw(st.sampled_from(["float64", "float32"])),
+            dtype=data.draw(st.sampled_from(["float64", "float32"])),
         )
         node_ids = np.array(
             sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))),
@@ -564,7 +683,7 @@ class TestApplyUpdate:
         full = from_scratch(graph, features, config, node_ids)
         assert len(patches) == config.num_matrices
         for m, patch in enumerate(patches):
-            assert patch.dtype == np.float32
+            assert patch.dtype == np.dtype(config.dtype)
             assert patch.tobytes() == np.ascontiguousarray(full[m][patch_rows]).tobytes()
 
     def test_compute_patches_rejects_out_of_range_targets(self, tiny_graph):
