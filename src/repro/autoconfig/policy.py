@@ -33,15 +33,6 @@ class PlacementDecision:
     strategy: LoaderStrategy
     reason: str
 
-    def describe(self) -> dict:
-        return {
-            "placement": self.placement,
-            "method": self.method,
-            "num_gpus_for_data": self.num_gpus_for_data,
-            "strategy": self.strategy.name,
-            "reason": self.reason,
-        }
-
 
 class DataPlacementPolicy:
     """Implements the placement decision tree of Section 5.

@@ -57,12 +57,6 @@ class BatchSchedule:
     def num_rows(self) -> int:
         return int(sum(batch.size for batch in self.batches))
 
-    def transfers_per_batch(self) -> float:
-        """Average number of contiguous runs (bulk copies) per batch."""
-        if not self.batches:
-            return 0.0
-        return float(np.mean([len(runs) for runs in self.chunk_runs]))
-
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.batches)
 

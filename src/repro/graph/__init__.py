@@ -1,20 +1,11 @@
-"""Graph substrate: CSR graphs, propagation operators, generators, partitioning."""
+"""Graph substrate: CSR graphs, propagation operators and generators."""
 
 from repro.graph.csr import CSRGraph
-from repro.graph.builders import (
-    add_self_loops,
-    from_dense,
-    from_edge_index,
-    from_networkx,
-    remove_self_loops,
-    symmetrize,
-    to_networkx,
-)
+from repro.graph.builders import add_self_loops, from_edge_index, symmetrize
 from repro.graph.operators import (
     PartialOperator,
     csr_rows,
     heat_kernel_operator,
-    iter_operator_row_blocks,
     normalized_adjacency,
     operator_radius,
     operator_row_block,
@@ -24,23 +15,13 @@ from repro.graph.operators import (
     OPERATOR_REGISTRY,
     build_operator,
 )
-from repro.graph.generators import (
-    erdos_renyi_graph,
-    powerlaw_cluster_graph,
-    stochastic_block_model,
-)
-from repro.graph.partition import contiguous_chunks, locality_aware_partition, random_partition
-from repro.graph.metrics import degree_statistics, edge_homophily, receptive_field_size
+from repro.graph.generators import powerlaw_cluster_graph, stochastic_block_model
 
 __all__ = [
     "CSRGraph",
     "from_edge_index",
-    "from_dense",
-    "from_networkx",
-    "to_networkx",
     "symmetrize",
     "add_self_loops",
-    "remove_self_loops",
     "normalized_adjacency",
     "random_walk_operator",
     "personalized_pagerank_operator",
@@ -52,14 +33,6 @@ __all__ = [
     "operator_radius",
     "operator_row_block",
     "operator_support",
-    "iter_operator_row_blocks",
     "stochastic_block_model",
     "powerlaw_cluster_graph",
-    "erdos_renyi_graph",
-    "contiguous_chunks",
-    "locality_aware_partition",
-    "random_partition",
-    "degree_statistics",
-    "edge_homophily",
-    "receptive_field_size",
 ]

@@ -45,37 +45,6 @@ def from_edge_index(
     return CSRGraph.from_scipy(coo.tocsr(), name=name)
 
 
-def from_dense(adjacency: np.ndarray, name: str = "graph") -> CSRGraph:
-    """Build a graph from a dense adjacency matrix (nonzeros become edges)."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
-    return CSRGraph.from_scipy(sp.csr_matrix(adjacency), name=name)
-
-
-def from_networkx(graph, name: str = "graph") -> CSRGraph:
-    """Convert a :mod:`networkx` graph (nodes must be 0..n-1 integers)."""
-    import networkx as nx
-
-    n = graph.number_of_nodes()
-    mapping_needed = set(graph.nodes) != set(range(n))
-    if mapping_needed:
-        graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-    matrix = nx.to_scipy_sparse_array(graph, nodelist=range(n), format="csr")
-    csr = CSRGraph.from_scipy(sp.csr_matrix(matrix), name=name)
-    if not graph.is_directed():
-        csr = symmetrize(csr)
-    return csr
-
-
-def to_networkx(graph: CSRGraph, directed: bool = True):
-    """Convert to a :mod:`networkx` graph (for visualisation / cross-checks)."""
-    import networkx as nx
-
-    create_using = nx.DiGraph if directed else nx.Graph
-    return nx.from_scipy_sparse_array(graph.to_scipy(), create_using=create_using)
-
-
 def symmetrize(graph: CSRGraph) -> CSRGraph:
     """Return the undirected version: edge set union of ``A`` and ``A^T``.
 
@@ -107,12 +76,3 @@ def add_self_loops(graph: CSRGraph, weight: float = 1.0) -> CSRGraph:
     row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(merged.indptr))
     merged.data[row_of == merged.indices] = new_diag
     return CSRGraph.from_scipy(merged, name=graph.name)
-
-
-def remove_self_loops(graph: CSRGraph) -> CSRGraph:
-    """Return the graph with all diagonal entries removed."""
-    adj = graph.to_scipy().tolil()
-    adj.setdiag(0.0)
-    csr = adj.tocsr()
-    csr.eliminate_zeros()
-    return CSRGraph.from_scipy(csr, name=graph.name)

@@ -69,10 +69,6 @@ class CSRGraph:
             return degrees
         return degrees[np.asarray(nodes, dtype=np.int64)]
 
-    def in_degree(self) -> np.ndarray:
-        """In-degrees for all nodes (O(E))."""
-        return np.bincount(self.indices, minlength=self.num_nodes).astype(np.int64)
-
     def neighbors(self, node: int) -> np.ndarray:
         """Out-neighborhood of ``node`` as a view into ``indices``."""
         if not 0 <= node < self.num_nodes:
@@ -83,10 +79,6 @@ class CSRGraph:
         """Return (starts, stops) of the CSR slices for a batch of nodes."""
         nodes = np.asarray(nodes, dtype=np.int64)
         return self.indptr[nodes], self.indptr[nodes + 1]
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        """True if the directed edge ``src -> dst`` exists."""
-        return bool(np.isin(dst, self.neighbors(src)))
 
     # ------------------------------------------------------------------ #
     def to_scipy(self) -> sp.csr_matrix:
@@ -136,30 +128,6 @@ class CSRGraph:
             name=f"{self.name}.rev",
         )
 
-    def row_block(
-        self, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """CSR triplet of the rows ``[start, stop)`` as zero-copy views.
-
-        Returns ``(indptr, indices, edge_weight)`` describing the rectangular
-        ``(stop - start, num_nodes)`` block: ``indptr`` is rebased to start at
-        0 (the only copied array, of length ``stop - start + 1``) while
-        ``indices`` and ``edge_weight`` are views into the full arrays.  The
-        graph-level counterpart of :func:`repro.graph.operators.
-        operator_row_block` (which slices the *derived* operator matrix and is
-        what the blocked propagation engine tiles over) — use this one when
-        tiling directly over the raw adjacency, e.g. in samplers or
-        partitioners.
-        """
-        if not 0 <= start <= stop <= self.num_nodes:
-            raise ValueError(
-                f"row block [{start}, {stop}) out of range for {self.num_nodes} nodes"
-            )
-        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        indptr = self.indptr[start : stop + 1] - self.indptr[start]
-        weights = self.edge_weight[lo:hi] if self.edge_weight is not None else None
-        return indptr, self.indices[lo:hi], weights
-
     def subgraph(self, nodes: np.ndarray) -> tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on ``nodes``.
 
@@ -170,13 +138,6 @@ class CSRGraph:
         adj = self.to_scipy()
         sub = adj[nodes][:, nodes]
         return CSRGraph.from_scipy(sub.tocsr(), name=f"{self.name}.sub"), nodes
-
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the CSR arrays in bytes."""
-        total = self.indptr.nbytes + self.indices.nbytes
-        if self.edge_weight is not None:
-            total += self.edge_weight.nbytes
-        return int(total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -135,67 +135,3 @@ def powerlaw_cluster_graph(
     edge_index = np.stack([np.array(src_list, dtype=np.int64), np.array(dst_list, dtype=np.int64)])
     graph = from_edge_index(edge_index, num_nodes=num_nodes, name=name)
     return symmetrize(graph)
-
-
-def erdos_renyi_graph(
-    num_nodes: int,
-    avg_degree: float,
-    seed: SeedLike = None,
-    name: str = "erdos_renyi",
-) -> CSRGraph:
-    """G(n, m)-style random graph with the requested average (undirected) degree."""
-    if num_nodes <= 1:
-        raise ValueError("num_nodes must be > 1")
-    if avg_degree <= 0:
-        raise ValueError("avg_degree must be positive")
-    rng = new_rng(seed)
-    num_edges = int(num_nodes * avg_degree / 2)
-    src = rng.integers(0, num_nodes, size=num_edges)
-    dst = rng.integers(0, num_nodes, size=num_edges)
-    keep = src != dst
-    edge_index = np.stack([src[keep], dst[keep]])
-    graph = from_edge_index(edge_index, num_nodes=num_nodes, name=name)
-    return symmetrize(graph)
-
-
-def attach_label_correlated_edges(
-    graph: CSRGraph,
-    labels: np.ndarray,
-    extra_edges: int,
-    homophily: float,
-    seed: SeedLike = None,
-) -> CSRGraph:
-    """Add ``extra_edges`` edges whose endpoints share a label with prob ``homophily``.
-
-    Used to tune the homophily level of a power-law graph so the dataset
-    replicas span the homophilous (products) to non-homophilous (wiki/pokec)
-    range of the paper's benchmarks.
-    """
-    if extra_edges < 0:
-        raise ValueError("extra_edges must be non-negative")
-    if not 0 <= homophily <= 1:
-        raise ValueError("homophily must be in [0, 1]")
-    if extra_edges == 0:
-        return graph
-    rng = new_rng(seed)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = graph.num_nodes
-    by_label = {lab: np.where(labels == lab)[0] for lab in np.unique(labels)}
-
-    src = rng.integers(0, n, size=extra_edges)
-    same = rng.random(extra_edges) < homophily
-    dst = np.empty(extra_edges, dtype=np.int64)
-    for i, (s, keep_same) in enumerate(zip(src, same)):
-        if keep_same:
-            pool = by_label[labels[s]]
-            dst[i] = pool[rng.integers(0, len(pool))]
-        else:
-            dst[i] = rng.integers(0, n)
-    keep = src != dst
-    new_edges = np.stack([src[keep], dst[keep]])
-
-    existing = graph.to_scipy().tocoo()
-    all_src = np.concatenate([existing.row, new_edges[0]])
-    all_dst = np.concatenate([existing.col, new_edges[1]])
-    merged = from_edge_index(np.stack([all_src, all_dst]), num_nodes=n, name=graph.name)
-    return symmetrize(merged)

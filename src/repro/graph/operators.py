@@ -9,7 +9,7 @@ them are implemented here as sparse matrices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,18 +134,6 @@ def operator_row_block(operator: sp.csr_matrix, start: int, stop: int) -> sp.csr
         copy=False,
     )
     return block
-
-
-def iter_operator_row_blocks(
-    operator: sp.csr_matrix, block_size: int
-) -> Iterator[tuple[int, int, sp.csr_matrix]]:
-    """Yield ``(start, stop, block)`` row tiles of ``operator`` in order."""
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    num_rows = operator.shape[0]
-    for start in range(0, num_rows, block_size):
-        stop = min(start + block_size, num_rows)
-        yield start, stop, operator_row_block(operator, start, stop)
 
 
 def csr_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:

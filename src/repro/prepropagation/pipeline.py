@@ -37,7 +37,6 @@ from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import (
     PropagationConfig,
     expanded_bytes,
-    flops_estimate,
 )
 from repro.prepropagation.store import FeatureStore, check_layout
 from repro.utils.logging import get_logger
@@ -248,7 +247,3 @@ class PreprocessingPipeline:
             result.labeled_rows,
         )
         return result
-
-    def estimated_flops(self, dataset: NodeClassificationDataset) -> int:
-        """Estimated preprocessing FLOPs for ``dataset`` under this config."""
-        return flops_estimate(dataset.graph, dataset.num_features, self.config)

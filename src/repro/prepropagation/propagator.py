@@ -112,7 +112,7 @@ def propagate_features(
     exactly these values for the stored rows.
 
     Every hop runs in ``config.dtype``, operator values included: one hop is
-    ``2 nnz(B) F`` flops (:func:`flops_estimate`) over an ``(N, F)`` input and
+    ``2 nnz(B) F`` flops over an ``(N, F)`` input and
     output of ``config.dtype`` itemsize, so a float32 build moves half the
     bytes of a float64 one for the same flops, at the error bound stated on
     :class:`PropagationConfig`.
@@ -159,18 +159,6 @@ def propagate_features(
         "total_seconds": operator_time.elapsed + propagate_time.elapsed,
     }
     return hop_features, timing
-
-
-def flops_estimate(graph: CSRGraph, feature_dim: int, config: PropagationConfig) -> int:
-    """Estimated multiply-accumulate count of the preprocessing step.
-
-    Each hop is one SpMM: ``2 * nnz(B) * F`` flops; used by the amortization
-    analysis to extrapolate paper-scale preprocessing cost from replica runs.
-    The count is independent of ``config.dtype`` — float32 accumulation
-    changes bandwidth and memory, not the MAC count.
-    """
-    nnz = graph.num_edges + graph.num_nodes  # self loops added by normalization
-    return int(2 * nnz * feature_dim * config.num_hops * config.num_kernels)
 
 
 def expanded_bytes(

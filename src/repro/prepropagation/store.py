@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.resilience.durable import fsync_dir, fsync_file
 from repro.utils.logging import get_logger
 
 logger = get_logger("prepropagation.store")
@@ -141,10 +142,12 @@ def write_store(
 
     ``packed.npy``, ``node_ids.npy`` and ``meta.json`` are written into a
     staging directory, which is then swapped into ``root``, so a crash leaves
-    any previous store at ``root`` whole.  A ``staging`` passed in already
-    holds the flushed ``packed.npy`` (the blocked engine streams into it) and
-    is the caller's to clean up on failure; otherwise a fresh one is made
-    and removed if the write fails.
+    any previous store at ``root`` whole.  The files and the staging
+    directory are fsync'd before the swap and the parent directory after it,
+    so once this returns a crash keeps the new store.  A ``staging`` passed
+    in already holds the flushed ``packed.npy`` (the blocked engine streams
+    into it) and is the caller's to clean up on failure; otherwise a fresh
+    one is made and removed if the write fails.
     """
     root = Path(root)
     owned = staging is None
@@ -153,9 +156,13 @@ def write_store(
     try:
         if owned:
             np.save(staging / PACKED_FILENAME, packed)
+            fsync_file(staging / PACKED_FILENAME)
         np.save(staging / _NODE_IDS_FILENAME, node_ids)
         meta = store_meta(packed, num_kernels)
         (staging / _META_FILENAME).write_text(json.dumps(meta, indent=2))
+        for name in (_NODE_IDS_FILENAME, _META_FILENAME):
+            fsync_file(staging / name)
+        fsync_dir(staging)
         # the old store is moved aside (not deleted) until the new one has
         # been renamed in, so a crash at any instant destroys no data — worst
         # case the old store survives under .<name>.old-<pid> for manual recovery
@@ -164,6 +171,7 @@ def write_store(
         if root.exists():
             root.replace(retired)
         staging.replace(root)
+        fsync_dir(root.parent)
         shutil.rmtree(retired, ignore_errors=True)
     except BaseException:
         if owned:

@@ -13,6 +13,9 @@ through:
   journaled with content digests and skipped on resume, with torn-write
   detection and automatic invalidation when the graph/config fingerprint
   changes.
+* :mod:`~repro.resilience.durable` — the one atomic writer (write-temp,
+  fsync, replace, fsync the directory) and the file/directory fsyncs every
+  store and update publish goes through.
 * :mod:`~repro.resilience.supervisor` — :class:`SupervisorPolicy` and the
   counters behind the self-healing :class:`~repro.dataloading.workers.
   MultiProcessLoader`: heartbeat/deadline detection of crashed *and* stalled
@@ -34,7 +37,6 @@ from repro.resilience.faultinject import (
     FaultSpec,
     InjectedFault,
     activate_plan,
-    active_plan,
     fault_point,
 )
 from repro.resilience.janitor import sweep_orphans
@@ -48,7 +50,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "activate_plan",
-    "active_plan",
     "fault_point",
     "sweep_orphans",
     "ResilienceCounters",

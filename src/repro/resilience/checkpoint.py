@@ -38,6 +38,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.resilience.durable import atomic_write_text
 from repro.utils.logging import get_logger
 
 logger = get_logger("resilience.checkpoint")
@@ -121,13 +122,7 @@ class PhaseJournal:
     def write_manifest(self, manifest: RunManifest) -> None:
         """Atomically publish the manifest (write-temp + fsync + rename)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        temp = self.manifest_path.with_suffix(".tmp")
-        with open(temp, "w") as handle:
-            handle.write(manifest.to_json())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.manifest_path)
-        self._fsync_dir()
+        atomic_write_text(self.manifest_path, manifest.to_json())
 
     def load_manifest(self) -> Optional[RunManifest]:
         try:
@@ -181,18 +176,6 @@ class PhaseJournal:
                 path.unlink()
             except FileNotFoundError:
                 pass
-
-    def _fsync_dir(self) -> None:
-        try:
-            fd = os.open(self.root, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
 
     def __enter__(self) -> "PhaseJournal":
         return self

@@ -58,7 +58,6 @@ __all__ = [
     "FaultPlan",
     "fault_point",
     "activate_plan",
-    "active_plan",
     "FAULT_KINDS",
     "KNOWN_SITES",
     "UPDATE_SITES",
@@ -192,10 +191,6 @@ def activate_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     previous = _ACTIVE
     _ACTIVE = plan
     return previous
-
-
-def active_plan() -> Optional[FaultPlan]:
-    return _ACTIVE
 
 
 def fault_point(

@@ -13,7 +13,7 @@ Implements the four samplers the paper compares against (Section 2.3 / 6):
   sampling (Zeng et al., 2020), node-sampler variant.
 """
 
-from repro.sampling.base import MiniBatch, SampledBlock, Sampler, SamplingStats
+from repro.sampling.base import MiniBatch, SampledBlock, Sampler
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.labor import LaborSampler
 from repro.sampling.ladies import LadiesSampler
@@ -24,7 +24,6 @@ __all__ = [
     "MiniBatch",
     "SampledBlock",
     "Sampler",
-    "SamplingStats",
     "NeighborSampler",
     "LaborSampler",
     "LadiesSampler",

@@ -89,43 +89,6 @@ class MiniBatch:
     def num_output_nodes(self) -> int:
         return int(self.output_nodes.size)
 
-    def total_edges(self) -> int:
-        if self.blocks:
-            return int(sum(block.num_edges for block in self.blocks))
-        if self.subgraph is not None:
-            return self.subgraph.num_edges
-        return 0
-
-
-@dataclass
-class SamplingStats:
-    """Aggregate statistics over sampled mini-batches.
-
-    Used by the characterization experiments (Appendix I data-transfer volume,
-    and the neighbor-explosion analysis behind Table 1).
-    """
-
-    batches: int = 0
-    input_nodes: int = 0
-    output_nodes: int = 0
-    edges: int = 0
-
-    def update(self, batch: MiniBatch) -> None:
-        self.batches += 1
-        self.input_nodes += batch.num_input_nodes
-        self.output_nodes += batch.num_output_nodes
-        self.edges += batch.total_edges()
-
-    def feature_bytes(self, feature_dim: int, dtype_bytes: int = 4) -> int:
-        """Bytes of raw node features that must be gathered for these batches."""
-        return int(self.input_nodes * feature_dim * dtype_bytes)
-
-    def expansion_factor(self) -> float:
-        """Average ratio of fetched input nodes to labeled output nodes."""
-        if self.output_nodes == 0:
-            return float("nan")
-        return self.input_nodes / self.output_nodes
-
 
 class Sampler:
     """Base class: turns (graph, seed nodes) into a :class:`MiniBatch`."""

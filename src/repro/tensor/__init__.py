@@ -11,17 +11,16 @@ Public surface:
 * :mod:`~repro.tensor.functional` — stateless ops (relu, softmax, dropout, ...).
 * :class:`~repro.tensor.module.Module` and the layers built on it
   (``Linear``, ``LayerNorm``, ``Dropout``, ``MLP``, ``MultiHeadAttention``).
-* :mod:`~repro.tensor.losses` — ``cross_entropy``, ``binary_cross_entropy``.
-* :mod:`~repro.tensor.optim` — ``SGD``, ``Adam``, ``AdamW`` and LR schedules.
+* :mod:`~repro.tensor.losses` — ``cross_entropy`` and ``accuracy``.
+* :mod:`~repro.tensor.optim` — ``SGD`` and ``Adam``.
 """
 
-from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
+from repro.tensor.tensor import Tensor, no_grad
 from repro.tensor import functional
 from repro.tensor.parameter import Parameter
 from repro.tensor.module import (
     Dropout,
     GELU,
-    Identity,
     LayerNorm,
     Linear,
     MLP,
@@ -31,14 +30,13 @@ from repro.tensor.module import (
     Sequential,
 )
 from repro.tensor.attention import MultiHeadAttention
-from repro.tensor.losses import binary_cross_entropy_with_logits, cross_entropy, mse_loss
-from repro.tensor.optim import SGD, Adam, AdamW, CosineAnnealingLR, StepLR
+from repro.tensor.losses import cross_entropy
+from repro.tensor.optim import SGD, Adam
 from repro.tensor import init
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "functional",
     "Parameter",
     "Module",
@@ -48,17 +46,11 @@ __all__ = [
     "ReLU",
     "GELU",
     "PReLU",
-    "Identity",
     "Sequential",
     "MLP",
     "MultiHeadAttention",
     "cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "mse_loss",
     "SGD",
     "Adam",
-    "AdamW",
-    "StepLR",
-    "CosineAnnealingLR",
     "init",
 ]

@@ -6,7 +6,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, is_grad_enabled
+from repro.tensor.tensor import Tensor
 
 
 def relu(x: Tensor) -> Tensor:
@@ -22,10 +22,6 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     return x.gelu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -138,50 +134,3 @@ def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor.stack(list(tensors), axis=axis)
-
-
-def embedding_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows from ``table`` (differentiable w.r.t. the table)."""
-    return table.take_rows(indices)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer ``labels`` as a float array."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels out of range for the given num_classes")
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def grad_check(fn, inputs: list[Tensor], eps: float = 1e-6, atol: float = 1e-4) -> bool:
-    """Finite-difference gradient verification used by the test-suite.
-
-    ``fn`` maps the list of input tensors to a scalar Tensor.  Returns True if
-    analytic and numerical gradients agree within ``atol`` everywhere.
-    """
-    if not is_grad_enabled():
-        raise RuntimeError("grad_check requires gradients to be enabled")
-    for t in inputs:
-        t.zero_grad()
-    out = fn(inputs)
-    out.backward()
-    for tensor in inputs:
-        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        numeric = np.zeros_like(tensor.data)
-        flat = tensor.data.reshape(-1)
-        numeric_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            plus = fn(inputs).item()
-            flat[i] = original - eps
-            minus = fn(inputs).item()
-            flat[i] = original
-            numeric_flat[i] = (plus - minus) / (2 * eps)
-        if not np.allclose(analytic, numeric, atol=atol, rtol=1e-3):
-            return False
-    return True

@@ -20,26 +20,12 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal initialization."""
-    fan_in, fan_out = _fan_in_fan_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, a: float = np.sqrt(5)) -> np.ndarray:
     """He uniform initialization (matches torch's default Linear init)."""
     fan_in, _ = _fan_in_fan_out(shape)
     gain = np.sqrt(2.0 / (1 + a**2))
     bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He normal initialization for ReLU networks."""
-    fan_in, _ = _fan_in_fan_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -38,34 +38,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Numerically stable BCE on logits (for binary datasets such as pokec)."""
-    targets_t = Tensor(np.asarray(targets, dtype=logits.dtype))
-    # log(1 + exp(-|x|)) + max(x, 0) - x * t
-    neg_abs = logits.abs() * -1.0
-    loss = (1.0 + neg_abs.exp()).log() + logits.relu() - logits * targets_t
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    if reduction == "none":
-        return loss
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def mse_loss(pred: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Mean squared error (used in a few regression-style tests)."""
-    diff = pred - Tensor(np.asarray(target, dtype=pred.dtype))
-    sq = diff * diff
-    if reduction == "mean":
-        return sq.mean()
-    if reduction == "sum":
-        return sq.sum()
-    if reduction == "none":
-        return sq
-    raise ValueError(f"unknown reduction {reduction!r}")
-
-
 def accuracy(logits: np.ndarray | Tensor, labels: np.ndarray) -> float:
     """Top-1 accuracy of ``logits`` against integer ``labels``."""
     if isinstance(logits, Tensor):

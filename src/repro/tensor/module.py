@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -79,35 +79,12 @@ class Module:
             p.to(dtype)
         return self
 
-    # -- state dict ------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
-        for name, param in own.items():
-            value = np.array(state[name], dtype=param.data.dtype)  # a copy, in the parameter's dtype
-            if value.shape != param.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
-            param.data = value
-
     # -- call ------------------------------------------------------------ #
     def forward(self, *args, **kwargs) -> Tensor:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs) -> Tensor:
         return self.forward(*args, **kwargs)
-
-
-class Identity(Module):
-    """No-op module, handy as a default head."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Linear(Module):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -27,9 +27,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def _grads(self) -> list[Optional[np.ndarray]]:
-        return [p.grad for p in self.params]
 
 
 class SGD(Optimizer):
@@ -116,60 +113,3 @@ class Adam(Optimizer):
             denom += self.eps
             step /= denom
             p.data -= step
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    def _apply_decay(self, p: Parameter, grad: np.ndarray) -> np.ndarray:
-        if self.weight_decay:
-            # Decoupled: shrink the weights directly, keep the gradient intact.
-            p.data -= self.lr * self.weight_decay * p.data
-        return grad
-
-
-class LRScheduler:
-    """Base LR scheduler; mutates the optimizer's ``lr`` attribute."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        lr = self.get_lr()
-        self.optimizer.lr = lr
-        return lr
-
-
-class StepLR(LRScheduler):
-    """Decay the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + np.cos(np.pi * progress))

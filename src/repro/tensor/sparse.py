@@ -63,16 +63,6 @@ def scatter_sum(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     return Tensor._make(out_data, (values,), backward)
 
 
-def scatter_mean(values: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
-    """Mean-pool rows of ``values`` into segments (empty segments stay zero)."""
-    index = np.asarray(index, dtype=np.int64)
-    counts = np.bincount(index, minlength=num_segments).astype(values.dtype)
-    counts = np.maximum(counts, 1.0)
-    summed = scatter_sum(values, index, num_segments)
-    inv = (1.0 / counts).reshape((num_segments,) + (1,) * (values.ndim - 1))
-    return summed * Tensor(inv)
-
-
 def segment_max(values: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
     """Per-segment maximum of a plain array (non-differentiable helper)."""
     index = np.asarray(index, dtype=np.int64)

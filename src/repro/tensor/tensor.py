@@ -41,11 +41,6 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    """Return whether new ops will be recorded for differentiation."""
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over axes that were broadcast to reach its shape."""
     if grad.shape == shape:
@@ -113,10 +108,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying NumPy array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data.item())
@@ -523,11 +514,6 @@ class Tensor:
     @staticmethod
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape: int, rng: np.random.Generator | None = None, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = -1) -> "Tensor":

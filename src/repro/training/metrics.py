@@ -40,10 +40,6 @@ class TrainingHistory:
     def valid_curve(self) -> List[float]:
         return [r.valid_accuracy for r in self.records]
 
-    @property
-    def loss_curve(self) -> List[float]:
-        return [r.train_loss for r in self.records]
-
     def peak_valid_accuracy(self) -> float:
         if not self.records:
             return float("nan")
@@ -68,22 +64,6 @@ class TrainingHistory:
 
     def total_seconds(self) -> float:
         return float(sum(r.epoch_seconds for r in self.records))
-
-    # -------------------------------------------------------------- #
-    # loader-resilience aggregates (all zero for healthy runs)
-    def total_loader_respawns(self) -> int:
-        return int(sum(r.loader_respawns for r in self.records))
-
-    def total_loader_requeued_batches(self) -> int:
-        return int(sum(r.loader_requeued_batches for r in self.records))
-
-    def total_loader_inline_batches(self) -> int:
-        return int(sum(r.loader_inline_batches for r in self.records))
-
-    @property
-    def loader_degraded(self) -> bool:
-        """True if any epoch fell back to in-process batch assembly."""
-        return self.total_loader_inline_batches() > 0
 
 
 def convergence_point(valid_curve: List[float], fraction: float = 0.99) -> Optional[int]:

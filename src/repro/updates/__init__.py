@@ -21,11 +21,7 @@ from repro.updates.errors import (
     UpdateSwapError,
     UpdateVerificationError,
 )
-from repro.updates.frontier import (
-    affected_frontier,
-    expand_frontier,
-    expand_frontier_union,
-)
+from repro.updates.frontier import affected_frontier
 from repro.updates.versions import BASE_VERSION, VersionedStore
 
 __all__ = [
@@ -43,6 +39,4 @@ __all__ = [
     "apply_memory_update",
     "apply_update",
     "compute_patches",
-    "expand_frontier",
-    "expand_frontier_union",
 ]

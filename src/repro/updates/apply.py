@@ -33,7 +33,6 @@ The update algorithm, end to end:
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from repro.resilience.checkpoint import (
     digest_array,
     digest_parts,
 )
+from repro.resilience.durable import atomic_write_text, fsync_file
 from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.updates.delta import GraphDelta, apply_delta, apply_features
 from repro.updates.errors import UpdateError, UpdateVerificationError
@@ -266,11 +266,6 @@ def _validate_config(store: FeatureStore, config: PropagationConfig, features: n
         )
 
 
-def _fsync_file(path: Path) -> None:
-    with open(path, "rb") as handle:
-        os.fsync(handle.fileno())
-
-
 def _journal_append(
     journal: PhaseJournal, entry: dict, fault_plan: Optional[FaultPlan]
 ) -> None:
@@ -291,9 +286,8 @@ def _record_last_update(
     saw gets the already-published version back instead of applying the same
     delta a second time on top of its own result.
     """
-    path = versions.versions_root / _LAST_UPDATE_FILENAME
-    temp = path.with_suffix(".tmp")
-    temp.write_text(
+    atomic_write_text(
+        versions.versions_root / _LAST_UPDATE_FILENAME,
         json.dumps(
             {
                 "fingerprint": fingerprint,
@@ -301,9 +295,8 @@ def _record_last_update(
                 "target_version": target,
             },
             indent=2,
-        )
+        ),
     )
-    os.replace(temp, path)
 
 
 def _load_last_update(versions: VersionedStore) -> Optional[dict]:
@@ -382,7 +375,7 @@ def _clone_source(
     sizes: Dict[str, int] = {}
     for path in sorted(staged_store.iterdir()):
         if path.is_file():
-            _fsync_file(path)
+            fsync_file(path)
             sizes[path.name] = path.stat().st_size
     return sizes
 
@@ -436,6 +429,23 @@ def apply_update(
     affected = affected_frontier(graph, new_graph, delta, config)
     timing["frontier_seconds"] = time.perf_counter() - began
 
+    def already_published(version: str, previous: str, store: FeatureStore) -> UpdateResult:
+        """The result of this update, found published by an earlier attempt."""
+        timing["total_seconds"] = time.perf_counter() - wall_began
+        return UpdateResult(
+            version=version,
+            previous_version=previous,
+            status="applied",
+            affected_nodes=int(affected.size),
+            patch_rows=np.searchsorted(node_ids, np.intersect1d(affected, node_ids)),
+            resumed=True,
+            verified=True,
+            store=store,
+            new_graph=new_graph,
+            new_features=new_features,
+            timing=timing,
+        )
+
     if np.intersect1d(affected, node_ids).size == 0:
         timing["total_seconds"] = time.perf_counter() - wall_began
         return UpdateResult(
@@ -472,22 +482,7 @@ def apply_update(
                 and leftover_info.get("target_version") == source_version
             ):
                 shutil.rmtree(versions.staging_root, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=source_version,
-                previous_version=str(last.get("source_version")),
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(
-                    node_ids, np.intersect1d(affected, node_ids)
-                ),
-                resumed=True,
-                verified=True,
-                store=source_store,
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
+            return already_published(source_version, str(last.get("source_version")), source_store)
 
     staging = versions.staging_root
     staged_store = staging / _STAGED_STORE_DIRNAME
@@ -526,22 +521,7 @@ def apply_update(
             journal.discard()
             journal.close()
             shutil.rmtree(staging, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=source_version,
-                previous_version=previous,
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(
-                    node_ids, np.intersect1d(affected, node_ids)
-                ),
-                resumed=True,
-                verified=True,
-                store=source_store,
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
+            return already_published(source_version, previous, source_store)
         if (
             manifest is not None
             and manifest.fingerprint == fingerprint
@@ -564,21 +544,8 @@ def apply_update(
                     _record_last_update(versions, fingerprint, source_version, target)
                     journal.discard()
                     shutil.rmtree(staging, ignore_errors=True)
-                    timing["total_seconds"] = time.perf_counter() - wall_began
-                    return UpdateResult(
-                        version=target,
-                        previous_version=source_version,
-                        status="applied",
-                        affected_nodes=int(affected.size),
-                        patch_rows=np.searchsorted(
-                            node_ids, np.intersect1d(affected, node_ids)
-                        ),
-                        resumed=True,
-                        verified=True,
-                        store=FeatureStore.load(versions.path_for(target)),
-                        new_graph=new_graph,
-                        new_features=new_features,
-                        timing=timing,
+                    return already_published(
+                        target, source_version, FeatureStore.load(versions.path_for(target))
                     )
             resumed = bool(trusted_clone_sizes or renamed)
         elif manifest is not None or staging.exists():
@@ -607,20 +574,7 @@ def apply_update(
             _journal_append(journal, {"phase": "publish", "target": target}, fault_plan)
             journal.discard()
             shutil.rmtree(staging, ignore_errors=True)
-            timing["total_seconds"] = time.perf_counter() - wall_began
-            return UpdateResult(
-                version=target,
-                previous_version=source_version,
-                status="applied",
-                affected_nodes=int(affected.size),
-                patch_rows=np.searchsorted(node_ids, np.intersect1d(affected, node_ids)),
-                resumed=True,
-                verified=True,
-                store=FeatureStore.load(target_dir),
-                new_graph=new_graph,
-                new_features=new_features,
-                timing=timing,
-            )
+            return already_published(target, source_version, FeatureStore.load(target_dir))
 
     # ------------- fresh (or partially-trusted) staging ---------------------
     if target is None:
@@ -643,12 +597,10 @@ def apply_update(
                 block_size=0,
             )
         )
-        info_path.write_text(
-            json.dumps(
-                {"source_version": source_version, "target_version": target}, indent=2
-            )
+        atomic_write_text(
+            info_path,
+            json.dumps({"source_version": source_version, "target_version": target}, indent=2),
         )
-        _fsync_file(info_path)
         trusted_clone_sizes = None
         trusted_patches = {}
 

@@ -18,7 +18,7 @@ semantics are deterministic and order-free *within* a batch:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,13 +97,6 @@ class GraphDelta:
         )
 
     # ------------------------------------------------------------------ #
-    def is_empty(self) -> bool:
-        return (
-            self.insertions.shape[0] == 0
-            and self.deletions.shape[0] == 0
-            and self.feature_nodes.shape[0] == 0
-        )
-
     def seed_nodes(self) -> np.ndarray:
         """Sorted unique nodes directly touched by this delta.
 
@@ -116,17 +109,6 @@ class GraphDelta:
                 [self.insertions.ravel(), self.deletions.ravel(), self.feature_nodes]
             )
         )
-
-    def time_range(self) -> Optional[tuple[float, float]]:
-        """``(min, max)`` over all event timestamps, or None if untimestamped."""
-        stamps = [
-            t for t in (self.insertion_times, self.deletion_times, self.feature_times)
-            if t is not None and t.size
-        ]
-        if not stamps:
-            return None
-        merged = np.concatenate(stamps)
-        return float(merged.min()), float(merged.max())
 
     def validate_for(self, graph: CSRGraph) -> None:
         """Raise if any referenced node is out of range for ``graph``."""
@@ -160,49 +142,6 @@ class GraphDelta:
             "symmetric": self.symmetric,
         }
         return digest_parts(parts)
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def from_events(events: Iterable[Sequence], symmetric: bool = True) -> "GraphDelta":
-        """Build a delta from an ordered stream of timestamped events.
-
-        Each event is a tuple: ``("insert", time, src, dst[, weight])``,
-        ``("delete", time, src, dst)``, or ``("feature", time, node, values)``.
-        Event order is preserved (later events win on conflicts, matching the
-        batch semantics above).
-        """
-        ins, ins_w, ins_t = [], [], []
-        dels, del_t = [], []
-        feat_nodes, feat_vals, feat_t = [], [], []
-        for event in events:
-            kind = event[0]
-            if kind == "insert":
-                _, time, src, dst, *rest = event
-                ins.append((int(src), int(dst)))
-                ins_w.append(float(rest[0]) if rest else 1.0)
-                ins_t.append(float(time))
-            elif kind == "delete":
-                _, time, src, dst = event
-                dels.append((int(src), int(dst)))
-                del_t.append(float(time))
-            elif kind == "feature":
-                _, time, node, values = event
-                feat_nodes.append(int(node))
-                feat_vals.append(np.asarray(values))
-                feat_t.append(float(time))
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        return GraphDelta(
-            insertions=np.asarray(ins, dtype=np.int64).reshape(-1, 2),
-            deletions=np.asarray(dels, dtype=np.int64).reshape(-1, 2),
-            insertion_weights=np.asarray(ins_w) if ins else None,
-            insertion_times=np.asarray(ins_t) if ins else None,
-            deletion_times=np.asarray(del_t) if dels else None,
-            feature_nodes=np.asarray(feat_nodes, dtype=np.int64),
-            feature_values=np.stack(feat_vals) if feat_vals else None,
-            feature_times=np.asarray(feat_t) if feat_nodes else None,
-            symmetric=symmetric,
-        )
 
 
 # --------------------------------------------------------------------------- #

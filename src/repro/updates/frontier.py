@@ -33,7 +33,7 @@ from repro.graph.operators import operator_radius
 from repro.prepropagation.propagator import PropagationConfig
 from repro.updates.delta import GraphDelta
 
-__all__ = ["affected_frontier", "expand_frontier", "expand_frontier_union"]
+__all__ = ["affected_frontier"]
 
 
 def _edge_list(graphs: Sequence[CSRGraph]) -> tuple[np.ndarray, np.ndarray]:
@@ -59,30 +59,6 @@ def _ball(
             break
         reached |= frontier
     return np.flatnonzero(reached)
-
-
-def expand_frontier_union(
-    graphs: Sequence[CSRGraph], seeds: np.ndarray, hops: int
-) -> np.ndarray:
-    """All nodes within ``hops`` edges of ``seeds`` in the union of ``graphs``.
-
-    Level-synchronous: each hop takes the union of every graph's
-    out-neighborhood of the current frontier, so paths may alternate freely
-    between the constituent graphs — exactly reachability in the union
-    pattern.  Returns a sorted unique array (seeds included).
-    """
-    if not graphs:
-        raise ValueError("expand_frontier_union needs at least one graph")
-    seeds = np.asarray(seeds, dtype=np.int64)
-    num_nodes = graphs[0].num_nodes
-    if seeds.size and (seeds.min() < 0 or seeds.max() >= num_nodes):
-        raise ValueError(f"seeds out of range [0, {num_nodes})")
-    return _ball([_edge_list(graphs)], num_nodes, seeds, hops)
-
-
-def expand_frontier(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
-    """All nodes within ``hops`` edges of ``seeds`` in ``graph`` (seeds included)."""
-    return expand_frontier_union([graph], seeds, hops)
 
 
 def affected_frontier(

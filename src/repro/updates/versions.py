@@ -17,22 +17,22 @@ Layout::
         v0002/
         .staging/            # the in-flight update (journal + staged store)
 
-``CURRENT`` is written via write-temp + fsync + ``os.replace`` + directory
-fsync, the same publish discipline as the phase-journal manifest: the pointer
-either names the old version or the new one, never a torn in-between.  Old
-versions are kept until :meth:`VersionedStore.prune` — never pruned
-automatically, because a serving engine may still be pinned to one.
+``CURRENT`` is written with :func:`~repro.resilience.durable.atomic_write_text`
+(write-temp + fsync + ``os.replace`` + directory fsync), like the phase-journal
+manifest: the pointer either names the old version or the new one, never a
+torn in-between.  Old versions are kept until :meth:`VersionedStore.prune` —
+never pruned automatically, because a serving engine may still be pinned to
+one.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import shutil
 from pathlib import Path
 from typing import List
 
-from repro.prepropagation.store import FeatureStore
+from repro.resilience.durable import atomic_write_text
 
 __all__ = ["VersionedStore", "BASE_VERSION"]
 
@@ -69,14 +69,6 @@ class VersionedStore:
         if not _VERSION_PATTERN.match(version):
             raise ValueError(f"invalid version name {version!r}")
         return self.versions_root / version
-
-    def current_root(self) -> Path:
-        return self.path_for(self.current_version())
-
-    def load_current(self) -> tuple[FeatureStore, str]:
-        """Open the active version; the returned store stays pinned to it."""
-        version = self.current_version()
-        return FeatureStore.load(self.path_for(version)), version
 
     # ------------------------------------------------------------------ #
     def list_versions(self) -> List[str]:
@@ -121,22 +113,7 @@ class VersionedStore:
         if version != BASE_VERSION and not _VERSION_PATTERN.match(version):
             raise ValueError(f"invalid version name {version!r}")
         self.versions_root.mkdir(parents=True, exist_ok=True)
-        temp = self.current_path.with_suffix(".tmp")
-        with open(temp, "w") as handle:
-            handle.write(version + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, self.current_path)
-        try:
-            fd = os.open(self.versions_root, os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
+        atomic_write_text(self.current_path, version + "\n")
 
     def prune(self, keep: int = 2) -> List[str]:
         """Delete published versions older than the newest ``keep``.

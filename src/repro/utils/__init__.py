@@ -1,19 +1,14 @@
 """Shared utilities: seeded RNG management, logging, timing and configs."""
 
-from repro.utils.rng import RngMixin, new_rng, seed_everything, spawn_rng
+from repro.utils.rng import new_rng
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer, TimeAccumulator
-from repro.utils.config import ConfigError, load_json_config, save_json_config
+from repro.utils.config import save_json_config
 
 __all__ = [
-    "RngMixin",
     "new_rng",
-    "seed_everything",
-    "spawn_rng",
     "get_logger",
     "Timer",
     "TimeAccumulator",
-    "ConfigError",
-    "load_json_config",
     "save_json_config",
 ]

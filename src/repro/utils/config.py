@@ -1,38 +1,11 @@
-"""JSON configuration helpers.
-
-The paper's artifact drives experiments with a ``model_cfg.json``; this module
-provides the equivalent plumbing (load, validate required keys, save) for the
-reproduction's experiment runner and the automated configuration system.
-"""
+"""JSON output for the experiment runner (dataclasses and numpy values included)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
-
-
-class ConfigError(ValueError):
-    """Raised when a configuration file is missing or malformed."""
-
-
-def load_json_config(path: str | Path, required: Iterable[str] = ()) -> dict[str, Any]:
-    """Load a JSON config file and verify the ``required`` top-level keys."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"top-level JSON value must be an object in {path}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ConfigError(f"config {path} missing required keys: {missing}")
-    return data
+from typing import Any, Mapping
 
 
 def _jsonable(obj: Any) -> Any:

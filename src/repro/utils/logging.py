@@ -32,9 +32,3 @@ def get_logger(name: str) -> logging.Logger:
     if not name.startswith("repro"):
         name = f"repro.{name}"
     return logging.getLogger(name)
-
-
-def set_verbosity(level: int | str) -> None:
-    """Adjust the library-wide log level (e.g. ``logging.DEBUG`` or ``"DEBUG"``)."""
-    _configure_root()
-    logging.getLogger("repro").setLevel(level)

@@ -8,14 +8,11 @@ samples, model initializations, and shuffles.
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 SeedLike = Union[None, int, np.random.Generator]
-
-_GLOBAL_SEED: Optional[int] = None
 
 
 def new_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -30,51 +27,3 @@ def new_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Create ``n`` independent child generators from ``rng``.
-
-    Used by components that need per-worker or per-epoch streams (e.g. the
-    samplers and the simulated multi-GPU trainer) without consuming the
-    parent stream in an order-dependent way.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def seed_everything(seed: int) -> None:
-    """Seed Python's and NumPy's global RNGs.
-
-    Library code never relies on global state, but example scripts and
-    benchmarks call this so any incidental global randomness is pinned too.
-    """
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
-    random.seed(seed)
-    np.random.seed(seed % (2**32 - 1))
-
-
-def global_seed() -> Optional[int]:
-    """Return the last seed passed to :func:`seed_everything` (or ``None``)."""
-    return _GLOBAL_SEED
-
-
-class RngMixin:
-    """Mixin giving a class a lazily-created ``self.rng`` generator."""
-
-    _rng: Optional[np.random.Generator] = None
-    _seed: SeedLike = None
-
-    def set_seed(self, seed: SeedLike) -> None:
-        """Set the seed and reset the generator."""
-        self._seed = seed
-        self._rng = new_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(self._seed)
-        return self._rng

@@ -41,10 +41,6 @@ class Timer:
         self._start = None
         return self.elapsed
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
     def __enter__(self) -> "Timer":
         return self.start()
 
@@ -83,13 +79,3 @@ class TimeAccumulator:
         if total <= 0:
             return {}
         return {k: v / total for k, v in self.buckets.items()}
-
-    def merge(self, other: "TimeAccumulator") -> "TimeAccumulator":
-        merged = TimeAccumulator()
-        for src in (self, other):
-            for k, v in src.buckets.items():
-                merged.buckets[k] += v
-        return merged
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.buckets)

@@ -105,13 +105,6 @@ class TestPlacementPolicy:
         with pytest.raises(ValueError):
             DataPlacementPolicy(paper_server()).decide(-1, self._probe(hoga_profile, "products"))
 
-    def test_decision_describe(self, hoga_profile):
-        info = PAPER_DATASETS["products"]
-        decision = DataPlacementPolicy(paper_server()).decide(
-            info.preprocessed_bytes(3), self._probe(hoga_profile, "products")
-        )
-        assert {"placement", "method", "strategy", "reason"} <= set(decision.describe())
-
 
 class TestAutoConfigurator:
     @pytest.mark.parametrize(

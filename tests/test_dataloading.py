@@ -42,7 +42,7 @@ class TestSchedules:
 
     def test_cr_chunk_equal_batch_gives_single_run(self):
         schedule = chunk_reshuffle_schedule(1000, batch_size=100, chunk_size=100, seed=0)
-        assert schedule.transfers_per_batch() == pytest.approx(1.0)
+        assert all(len(runs) == 1 for runs in schedule.chunk_runs)
 
     def test_cr_chunk_one_equals_rr(self):
         schedule = chunk_reshuffle_schedule(100, batch_size=10, chunk_size=1, seed=0)
@@ -51,7 +51,8 @@ class TestSchedules:
     def test_rr_has_many_runs_per_batch(self):
         rr = sgd_rr_schedule(5000, batch_size=500, seed=0)
         cr = chunk_reshuffle_schedule(5000, batch_size=500, chunk_size=500, seed=0)
-        assert rr.transfers_per_batch() > 50 * cr.transfers_per_batch()
+        runs_per_batch = [np.mean([len(runs) for runs in s.chunk_runs]) for s in (rr, cr)]
+        assert runs_per_batch[0] > 50 * runs_per_batch[1]
 
     def test_chunk_runs_reconstruct_batches(self):
         schedule = chunk_reshuffle_schedule(97, batch_size=20, chunk_size=10, seed=3)
@@ -140,7 +141,7 @@ class TestLoaders:
         assert sum(1 for _ in chunk.epoch()) == len(calls) == chunk.num_batches()
         # on demand the RR runs are still there, built once per schedule
         rr = sgd_rr_schedule(store.num_rows, 128, seed=0)
-        assert rr.transfers_per_batch() > 1 and rr.chunk_runs is rr.chunk_runs
+        assert len(rr.chunk_runs[0]) > 1 and rr.chunk_runs is rr.chunk_runs
 
     def test_loader_records_assembly_time(self, store_and_labels):
         store, labels = store_and_labels

@@ -16,7 +16,7 @@ from repro.datasets import (
 from repro.datasets.catalog import LARGE_DATASETS, MEDIUM_DATASETS
 from repro.datasets.registry import clear_dataset_cache, register_dataset
 from repro.datasets.synthetic import REPLICA_RECIPES
-from repro.graph.metrics import edge_homophily
+from repro.datasets.synthetic import edge_homophily
 
 
 class TestCatalog:

@@ -5,34 +5,21 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets.synthetic import edge_homophily
 from repro.graph import (
     CSRGraph,
     add_self_loops,
     build_operator,
-    contiguous_chunks,
-    iter_operator_row_blocks,
     operator_row_block,
-    degree_statistics,
-    edge_homophily,
-    erdos_renyi_graph,
-    from_dense,
     from_edge_index,
-    from_networkx,
     heat_kernel_operator,
-    locality_aware_partition,
     normalized_adjacency,
     personalized_pagerank_operator,
     powerlaw_cluster_graph,
-    random_partition,
     random_walk_operator,
-    receptive_field_size,
-    remove_self_loops,
     stochastic_block_model,
     symmetrize,
-    to_networkx,
 )
-from repro.graph.generators import attach_label_correlated_edges
-from repro.graph.partition import partition_edge_cut
 
 
 class TestCSRGraph:
@@ -65,15 +52,11 @@ class TestCSRGraph:
 
     def test_degrees(self, tiny_graph):
         assert tiny_graph.out_degree().sum() == tiny_graph.num_edges
-        assert np.array_equal(tiny_graph.in_degree(), tiny_graph.out_degree())  # undirected
+        assert np.array_equal(tiny_graph.reverse().out_degree(), tiny_graph.out_degree())  # undirected
 
     def test_neighbors_out_of_range(self, tiny_graph):
         with pytest.raises(IndexError):
             tiny_graph.neighbors(100)
-
-    def test_has_edge(self, tiny_graph):
-        assert tiny_graph.has_edge(0, 1)
-        assert not tiny_graph.has_edge(0, 7)
 
     def test_to_scipy_round_trip(self, tiny_graph):
         again = CSRGraph.from_scipy(tiny_graph.to_scipy())
@@ -87,7 +70,7 @@ class TestCSRGraph:
     def test_reverse_preserves_edge_count(self):
         g = from_edge_index(np.array([[0, 1], [1, 2]]), num_nodes=3)
         assert g.reverse().num_edges == g.num_edges
-        assert g.reverse().has_edge(1, 0)
+        assert 0 in g.reverse().neighbors(1)
 
     def test_reverse_matches_scipy_transpose(self, tiny_graph):
         reversed_graph = tiny_graph.reverse()
@@ -118,8 +101,8 @@ class TestCSRGraph:
         g = from_edge_index(edges, num_nodes=200)
         reversed_graph = g.reverse()
         assert reversed_graph.num_edges == g.num_edges
-        assert np.array_equal(reversed_graph.in_degree(), g.out_degree())
-        assert np.array_equal(reversed_graph.out_degree(), g.in_degree())
+        assert np.array_equal(np.bincount(reversed_graph.indices, minlength=200), g.out_degree())
+        assert np.array_equal(reversed_graph.out_degree(), np.bincount(g.indices, minlength=200))
         # rows come out sorted, matching the scipy-based behaviour
         for node in range(0, 200, 17):
             neighbors = reversed_graph.neighbors(node)
@@ -131,42 +114,8 @@ class TestCSRGraph:
         assert sub.num_edges > 0
         assert np.array_equal(nodes, [0, 1, 2, 3])
 
-    def test_memory_bytes_positive(self, tiny_graph):
-        assert tiny_graph.memory_bytes() > 0
-
-    def test_dense_round_trip(self):
-        dense = np.array([[0, 1.0], [0, 0]])
-        g = from_dense(dense)
-        assert g.has_edge(0, 1) and not g.has_edge(1, 0)
-
-    def test_networkx_round_trip(self, tiny_graph):
-        nx_graph = to_networkx(tiny_graph)
-        back = from_networkx(nx_graph)
-        assert back.num_nodes == tiny_graph.num_nodes
-        assert back.num_edges == tiny_graph.num_edges
-
 
 class TestRowBlocks:
-    def test_row_block_matches_scipy_slice(self, tiny_graph):
-        indptr, indices, weights = tiny_graph.row_block(2, 6)
-        block = sp.csr_matrix(
-            (np.ones(indices.size) if weights is None else weights, indices, indptr),
-            shape=(4, tiny_graph.num_nodes),
-        )
-        assert np.array_equal(block.toarray(), tiny_graph.to_scipy()[2:6].toarray())
-
-    def test_row_block_views_are_zero_copy(self, tiny_graph):
-        _, indices, _ = tiny_graph.row_block(1, 5)
-        assert indices.base is tiny_graph.indices
-
-    def test_row_block_bounds_checked(self, tiny_graph):
-        with pytest.raises(ValueError):
-            tiny_graph.row_block(-1, 4)
-        with pytest.raises(ValueError):
-            tiny_graph.row_block(2, tiny_graph.num_nodes + 1)
-        with pytest.raises(ValueError):
-            tiny_graph.row_block(5, 2)
-
     def test_operator_row_block_matches_rows(self, tiny_graph):
         op = normalized_adjacency(tiny_graph)
         block = operator_row_block(op, 3, 7)
@@ -178,22 +127,16 @@ class TestRowBlocks:
         op = normalized_adjacency(tiny_graph)
         x = np.random.default_rng(3).standard_normal((tiny_graph.num_nodes, 5))
         full = op @ x
-        for start, stop, block in iter_operator_row_blocks(op, block_size=3):
-            assert np.array_equal(block @ x, full[start:stop])
-
-    def test_iter_blocks_cover_all_rows(self, tiny_graph):
-        op = normalized_adjacency(tiny_graph)
-        spans = [(s, e) for s, e, _ in iter_operator_row_blocks(op, block_size=3)]
-        assert spans == [(0, 3), (3, 6), (6, 8)]
-        with pytest.raises(ValueError):
-            list(iter_operator_row_blocks(op, 0))
+        for start in range(0, tiny_graph.num_nodes, 3):
+            stop = min(start + 3, tiny_graph.num_nodes)
+            assert np.array_equal(operator_row_block(op, start, stop) @ x, full[start:stop])
 
 
 class TestBuilders:
     def test_symmetrize_makes_undirected(self):
         g = from_edge_index(np.array([[0], [1]]), num_nodes=2)
         sym = symmetrize(g)
-        assert sym.has_edge(0, 1) and sym.has_edge(1, 0)
+        assert 1 in sym.neighbors(0) and 0 in sym.neighbors(1)
 
     def test_symmetrize_idempotent(self, tiny_graph):
         assert symmetrize(tiny_graph).num_edges == tiny_graph.num_edges
@@ -201,8 +144,10 @@ class TestBuilders:
     def test_add_remove_self_loops(self, tiny_graph):
         with_loops = add_self_loops(tiny_graph)
         assert with_loops.num_edges == tiny_graph.num_edges + tiny_graph.num_nodes
-        removed = remove_self_loops(with_loops)
-        assert removed.num_edges == tiny_graph.num_edges
+        removed = with_loops.to_scipy()
+        removed.setdiag(0.0)
+        removed.eliminate_zeros()
+        assert removed.nnz == tiny_graph.num_edges
 
 
 class TestOperators:
@@ -271,23 +216,12 @@ class TestGenerators:
 
     def test_powerlaw_graph_heavy_tail(self):
         g = powerlaw_cluster_graph(300, num_attach=3, seed=0)
-        stats = degree_statistics(g)
-        assert stats.maximum > 3 * stats.median
+        degrees = g.out_degree()
+        assert degrees.max() > 3 * np.median(degrees)
 
     def test_powerlaw_invalid_args(self):
         with pytest.raises(ValueError):
             powerlaw_cluster_graph(5, num_attach=10)
-
-    def test_erdos_renyi_average_degree(self):
-        g = erdos_renyi_graph(2000, avg_degree=10, seed=0)
-        assert 7 < degree_statistics(g).mean < 13
-
-    def test_attach_label_correlated_edges_raises_homophily(self):
-        graph, labels = stochastic_block_model([100, 100], p_in=0.05, p_out=0.05, seed=0)
-        before = edge_homophily(graph, labels)
-        enriched = attach_label_correlated_edges(graph, labels, extra_edges=2000, homophily=1.0, seed=0)
-        after = edge_homophily(enriched, labels)
-        assert after > before
 
 
 class TestMetrics:
@@ -298,82 +232,6 @@ class TestMetrics:
     def test_edge_homophily_wrong_length(self, tiny_graph):
         with pytest.raises(ValueError):
             edge_homophily(tiny_graph, np.zeros(3))
-
-    def test_receptive_field_monotone(self, small_dataset):
-        seeds = small_dataset.split.train[:16]
-        sizes = receptive_field_size(small_dataset.graph, seeds, num_hops=3)
-        assert len(sizes) == 4
-        assert np.all(np.diff(sizes) >= 0)
-
-    def test_receptive_field_explodes_then_saturates(self, small_dataset):
-        sizes = receptive_field_size(small_dataset.graph, small_dataset.split.train[:8], num_hops=6)
-        assert sizes[-1] <= small_dataset.num_nodes
-        assert sizes[2] > sizes[0]
-
-    def test_degree_statistics_empty(self):
-        g = from_edge_index(np.zeros((2, 0)), num_nodes=0)
-        assert degree_statistics(g).mean == 0.0
-
-
-class TestPartition:
-    def test_contiguous_chunks_cover_range(self):
-        chunks = contiguous_chunks(10, 3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-        assert np.array_equal(np.concatenate(chunks), np.arange(10))
-
-    def test_contiguous_chunks_invalid(self):
-        with pytest.raises(ValueError):
-            contiguous_chunks(10, 0)
-
-    def test_random_partition_covers_all(self):
-        parts = random_partition(100, 4, seed=0)
-        assert sum(len(p) for p in parts) == 100
-        assert len(np.unique(np.concatenate(parts))) == 100
-
-    def test_locality_partition_covers_training_nodes(self, small_dataset):
-        train = small_dataset.split.train
-        parts = locality_aware_partition(small_dataset.graph, train, 4, seed=0)
-        assert len(parts) == 4
-        combined = np.concatenate([p for p in parts if p.size])
-        assert np.array_equal(np.sort(combined), np.sort(train))
-
-    def test_locality_partition_beats_random_on_edge_cut(self, small_dataset):
-        train = small_dataset.split.train
-        local = locality_aware_partition(small_dataset.graph, train, 4, seed=0)
-        rand = random_partition(small_dataset.num_nodes, 4, seed=0)
-        rand = [np.intersect1d(p, train) for p in rand]
-        assert partition_edge_cut(small_dataset.graph, local) <= partition_edge_cut(
-            small_dataset.graph, rand
-        )
-
-    def test_single_part_returns_all(self, small_dataset):
-        parts = locality_aware_partition(small_dataset.graph, small_dataset.split.train, 1)
-        assert len(parts) == 1
-
-    def test_locality_partition_scales_to_wide_frontiers(self):
-        """Size-scaled sanity check for the deque-based BFS frontier.
-
-        A hub graph drives the frontier to O(N) immediately; with the old
-        ``list.pop(0)`` this path was quadratic in frontier size.  The test
-        pins correctness at a size where the quadratic version already
-        crawled, with a generous wall bound as a tripwire.
-        """
-        import time
-
-        num_nodes = 6000
-        hubs = np.arange(8)
-        spokes = np.arange(num_nodes)
-        src = np.concatenate([np.repeat(hubs, num_nodes // 8), np.tile(hubs, num_nodes // 8)])
-        dst = np.concatenate([np.tile(spokes[: num_nodes // 8 * 8], 1), np.repeat(spokes[: num_nodes // 8 * 8], 1)])
-        graph = symmetrize(from_edge_index(np.stack([src, dst]), num_nodes=num_nodes))
-        train = np.arange(num_nodes, dtype=np.int64)
-        began = time.perf_counter()
-        parts = locality_aware_partition(graph, train, 4, seed=1)
-        elapsed = time.perf_counter() - began
-        combined = np.concatenate([p for p in parts if p.size])
-        assert np.array_equal(np.sort(combined), train)
-        assert sum(p.size for p in parts) == num_nodes
-        assert elapsed < 5.0, f"wide-frontier partition took {elapsed:.1f}s"
 
 
 @settings(max_examples=20, deadline=None)
@@ -400,23 +258,12 @@ def test_property_edge_index_round_trip(num_nodes, num_edges, seed):
 )
 def test_property_normalized_adjacency_row_sums_bounded(num_nodes, seed):
     """Symmetric normalization is symmetric with spectral radius at most 1."""
-    g = erdos_renyi_graph(num_nodes, avg_degree=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, num_nodes, size=(2, num_nodes * 3 // 2))
+    g = symmetrize(from_edge_index(np.stack([src[src != dst], dst[src != dst]]), num_nodes=num_nodes))
     op = normalized_adjacency(g)
     dense = op.toarray()
     assert np.allclose(dense, dense.T, atol=1e-12)
     eigenvalues = np.linalg.eigvalsh(dense)
     assert eigenvalues.max() <= 1.0 + 1e-9
     assert np.all(np.asarray(op.sum(axis=1)).ravel() > 0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    num_items=st.integers(min_value=0, max_value=200),
-    chunk=st.integers(min_value=1, max_value=64),
-)
-def test_property_chunks_partition_items(num_items, chunk):
-    """Contiguous chunking is a partition: disjoint, complete, ordered."""
-    chunks = contiguous_chunks(num_items, chunk)
-    flat = np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
-    assert flat.size == num_items
-    assert np.array_equal(flat, np.arange(num_items))

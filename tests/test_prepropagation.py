@@ -17,7 +17,7 @@ from repro.prepropagation import (
     PropagationConfig,
     propagate_features,
 )
-from repro.prepropagation.propagator import expanded_bytes, flops_estimate
+from repro.prepropagation.propagator import expanded_bytes
 
 
 class TestPropagationConfig:
@@ -77,9 +77,8 @@ class TestPropagateFeatures:
         raw_norm = np.linalg.norm(small_dataset.features)
         assert np.linalg.norm(hop_feats[0][-1]) < 2.0 * raw_norm
 
-    def test_flops_and_bytes_estimates(self, tiny_graph):
+    def test_expanded_bytes_estimate(self):
         config = PropagationConfig(num_hops=2)
-        assert flops_estimate(tiny_graph, 4, config) > 0
         assert expanded_bytes(100, 10, config) == 100 * 10 * 4 * 3
 
     def test_invalid_dtype_rejected(self):
@@ -411,10 +410,6 @@ class TestPipeline:
         assert "accumulate_dtype" not in summary
         assert summary["mode"] == "in_core"
         assert {"operator_seconds", "propagate_seconds", "store_write_seconds"} <= set(summary)
-
-    def test_estimated_flops_positive(self, small_dataset):
-        pipeline = PreprocessingPipeline(PropagationConfig(num_hops=2))
-        assert pipeline.estimated_flops(small_dataset) > 0
 
 
 @settings(max_examples=10, deadline=None)

@@ -11,7 +11,6 @@ from repro.sampling import (
     MiniBatch,
     NeighborSampler,
     SampledBlock,
-    SamplingStats,
     build_sampler,
 )
 from repro.sampling.base import block_from_edges
@@ -212,16 +211,6 @@ class TestRegistryAndStats:
             assert sampler.num_layers == 2
         with pytest.raises(KeyError):
             build_sampler("cluster-gcn", num_layers=2)
-
-    def test_sampling_stats_accumulate(self, small_dataset):
-        sampler = NeighborSampler([3, 3])
-        stats = SamplingStats()
-        for seeds in np.array_split(small_dataset.split.train[:120], 3):
-            stats.update(sampler.sample(small_dataset.graph, seeds, new_rng(0)))
-        assert stats.batches == 3
-        assert stats.input_nodes > stats.output_nodes
-        assert stats.expansion_factor() > 1.0
-        assert stats.feature_bytes(feature_dim=100) == stats.input_nodes * 400
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,7 +5,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tensor import Tensor, no_grad
-from repro.tensor.functional import grad_check
+
+
+def grad_check(fn, inputs: list[Tensor], eps: float = 1e-6, atol: float = 1e-4) -> bool:
+    """Finite-difference gradient verification.
+
+    ``fn`` maps the list of input tensors to a scalar Tensor.  Returns True if
+    analytic and numerical gradients agree within ``atol`` everywhere.
+    """
+    for t in inputs:
+        t.zero_grad()
+    out = fn(inputs)
+    out.backward()
+    for tensor in inputs:
+        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        numeric = np.zeros_like(tensor.data)
+        flat = tensor.data.reshape(-1)
+        numeric_flat = numeric.reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + eps
+            plus = fn(inputs).item()
+            flat[i] = original - eps
+            minus = fn(inputs).item()
+            flat[i] = original
+            numeric_flat[i] = (plus - minus) / (2 * eps)
+        if not np.allclose(analytic, numeric, atol=atol, rtol=1e-3):
+            return False
+    return True
 
 
 def t(data, grad=True):

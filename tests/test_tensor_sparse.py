@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.tensor import Tensor
 from repro.tensor.sparse import (
     row_normalize,
-    scatter_mean,
     scatter_sum,
     segment_max,
     segment_softmax,
@@ -50,16 +49,6 @@ class TestScatter:
     def test_scatter_sum_index_out_of_range(self):
         with pytest.raises(ValueError):
             scatter_sum(Tensor(np.ones((2, 1))), np.array([0, 5]), 2)
-
-    def test_scatter_mean_empty_segment_is_zero(self):
-        values = Tensor(np.ones((2, 1)))
-        out = scatter_mean(values, np.array([0, 0]), 3)
-        assert np.allclose(out.data, [[1.0], [0.0], [0.0]])
-
-    def test_scatter_mean_divides_by_count(self):
-        values = Tensor(np.array([[2.0], [4.0], [6.0]]))
-        out = scatter_mean(values, np.array([0, 0, 1]), 2)
-        assert np.allclose(out.data, [[3.0], [6.0]])
 
 
 class TestSegmentOps:

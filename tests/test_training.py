@@ -88,7 +88,7 @@ class TestPPGNNTrainer:
         history = trainer.fit()
         num_classes = small_dataset.num_classes
         assert history.peak_valid_accuracy() > 1.5 / num_classes
-        assert history.loss_curve[-1] < history.loss_curve[0]
+        assert history.records[-1].train_loss < history.records[0].train_loss
 
     def test_history_records_timings(self, prepared_store, small_dataset):
         trainer = self._trainer(prepared_store, small_dataset, epochs=2)
@@ -172,7 +172,7 @@ class TestMPGNNTrainer:
         trainer = MPGNNTrainer(model, sampler, small_pokec, config)
         history = trainer.fit()
         assert history.peak_valid_accuracy() > 0.5  # better than random on 2 classes
-        assert history.loss_curve[-1] <= history.loss_curve[0]
+        assert history.records[-1].train_loss <= history.records[0].train_loss
 
     def test_timing_buckets_populated(self, small_pokec):
         model = build_mp_model("sage", small_pokec.num_features, small_pokec.num_classes, num_layers=2, seed=0)

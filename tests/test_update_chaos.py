@@ -19,6 +19,7 @@ import pytest
 
 from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
+from repro.prepropagation.store import FeatureStore
 from repro.resilience.faultinject import UPDATE_SITES, FaultPlan, InjectedFault
 from repro.updates import (
     BASE_VERSION,
@@ -79,7 +80,8 @@ def _fresh_store(scenario, tmp_path):
 
 
 def _published_bytes(root) -> bytes:
-    store, _ = VersionedStore(root).load_current()
+    versions = VersionedStore(root)
+    store = FeatureStore.load(versions.path_for(versions.current_version()))
     return np.asarray(store.packed_matrix()).tobytes()
 
 

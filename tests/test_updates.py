@@ -59,8 +59,6 @@ from repro.updates import (
     apply_memory_update,
     apply_update,
     compute_patches,
-    expand_frontier,
-    expand_frontier_union,
 )
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
@@ -195,19 +193,6 @@ class TestGraphDelta:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != scenario_delta(tiny_graph, seed=2).fingerprint()
 
-    def test_event_stream_construction(self):
-        delta = GraphDelta.from_events(
-            [
-                ("insert", 1.0, 0, 1, 2.5),
-                ("delete", 2.0, 1, 2),
-                ("feature", 3.0, 4, np.ones(3)),
-            ]
-        )
-        assert delta.insertions.tolist() == [[0, 1]]
-        assert delta.deletions.tolist() == [[1, 2]]
-        assert delta.feature_nodes.tolist() == [4]
-        assert delta.time_range() == (1.0, 3.0)
-
 
 # --------------------------------------------------------------------------- #
 # affected frontier
@@ -217,8 +202,10 @@ class TestFrontier:
         # 8-node ring: the r-hop ball of node 0 is exactly {0, ±1..r mod 8}
         edges = np.stack([np.arange(8), (np.arange(8) + 1) % 8], axis=1)
         ring = symmetrize(from_edge_index(edges, num_nodes=8))
-        assert expand_frontier(ring, np.array([0]), hops=1).tolist() == [0, 1, 7]
-        assert expand_frontier(ring, np.array([0]), hops=2).tolist() == [0, 1, 2, 6, 7]
+        delta = GraphDelta(feature_nodes=[0], feature_values=np.zeros((1, 2)))
+        for hops, ball in ((1, [0, 1, 7]), (2, [0, 1, 2, 6, 7])):
+            frontier = affected_frontier(ring, ring, delta, PropagationConfig(num_hops=hops))
+            assert frontier.tolist() == ball
 
     def test_operator_radius(self):
         assert operator_radius("normalized_adjacency") == 1
@@ -275,7 +262,6 @@ class TestFrontier:
         graphs = [old, new, old.reverse(), new.reverse()]
         expected = reference_ball(graphs, delta.seed_nodes(), hops)
         assert np.array_equal(affected_frontier(old, new, delta, config), expected)
-        assert np.array_equal(expand_frontier_union(graphs, delta.seed_nodes(), hops), expected)
 
     def test_empty_delta_empty_frontier(self, tiny_graph):
         delta = GraphDelta()
@@ -835,8 +821,9 @@ class TestCrashSafety:
         )
         # the published version never saw a torn state
         versions = VersionedStore(tmp_path / "store")
-        current, version = versions.load_current(), versions.current_version()
+        version = versions.current_version()
         assert version in (BASE_VERSION, "v0001")
+        FeatureStore.load(versions.path_for(version))
         # rerunning the identical update resumes (or restarts) and converges
         result = apply_update(tmp_path / "store", graph, features, delta, config)
         assert result.status == "applied" and result.version == "v0001"
