@@ -1,23 +1,28 @@
-"""Shared-memory plumbing for multi-process batch assembly.
+"""Shared-memory plumbing for the loader's worker processes.
 
-Worker processes must read the packed ``(M, N, F)`` feature block and write
-assembled batches without ever pickling a feature array.  Two pieces make
-that possible:
+Loader worker processes (:mod:`repro.dataloading.workers`) must read the
+packed ``(M, N, F)`` feature block and write assembled batches without ever
+pickling a feature array.  Only a process boundary needs this: readers in the
+process that holds the :class:`~repro.prepropagation.store.FeatureStore`
+(the serving engine, a loader's in-process fallback) gather from the store
+itself.  Two pieces make it possible:
 
-* :class:`SharedPackedStore` — exposes a :class:`~repro.prepropagation.store.
-  FeatureStore`'s packed block to other processes.  In-memory stores are
-  copied once into a ``multiprocessing.shared_memory`` segment that workers
-  attach zero-copy; file-backed stores are *not* copied — workers re-open the
-  store's ``packed.npy`` with ``np.load(..., mmap_mode="r")``, so
-  storage-resident data stays storage-resident.  Either way a worker reads one
-  ``(M, N, F)`` block and assembles a batch with one gather.
+* :class:`SharedPackedStore` — exposes a store's packed block to the
+  workers.  In-memory stores are copied once into a
+  ``multiprocessing.shared_memory`` segment that workers attach zero-copy;
+  file-backed stores are *not* copied — workers re-open the store directory
+  with :func:`~repro.prepropagation.store.map_store`, the one reader of a
+  published store, so storage-resident data stays storage-resident and a
+  torn store is rejected in the worker too.  Either way a worker reads one
+  ``(M, N, F)`` block and assembles a batch with the store's own bounds-checked
+  gather (:func:`~repro.prepropagation.store.take_rows`).
 * :class:`SlotRing` — a ring of ``(M, batch_size, F)`` batch slots in one
   shared segment, ``M`` counting only the matrices the model reads.  Workers
   assemble batches straight into a slot and hand the *slot index* back over a
   queue; the consumer reads the slot as a NumPy view.
 
 Both ends of the pipe use :class:`StoreHandle` / :class:`SlotHandle` — small
-picklable descriptors holding segment names, paths, shapes and dtypes — as
+picklable descriptors holding segment names, store roots, shapes and dtypes — as
 the only thing that crosses the process boundary at setup time.
 
 Lifecycle
@@ -49,7 +54,7 @@ from typing import Optional, Tuple
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.prepropagation.store import FeatureStore, input_slice
+from repro.prepropagation.store import FeatureStore, input_slice, map_store, take_rows
 from repro.utils.logging import get_logger
 
 logger = get_logger("dataloading.shm")
@@ -71,15 +76,9 @@ __all__ = [
 SHM_PREFIX = "ppgnn"
 
 
-def _new_segment_name(kind: str, version: Optional[int] = None) -> str:
-    """Segment name ``ppgnn-<kind>[-v<version>]-<pid>-<hex>``.
-
-    ``version`` tags segments created for a specific store version during an
-    incremental update swap, so the janitor can attribute (and sweep) segments
-    a mid-swap SIGKILL orphaned.
-    """
-    tag = f"{kind}-v{int(version)}" if version is not None else kind
-    return f"{SHM_PREFIX}-{tag}-{os.getpid()}-{secrets.token_hex(4)}"
+def _new_segment_name(kind: str) -> str:
+    """Segment name ``ppgnn-<kind>-<pid>-<hex>``; ``kind`` is ``"store"`` or ``"slots"``."""
+    return f"{SHM_PREFIX}-{kind}-{os.getpid()}-{secrets.token_hex(4)}"
 
 
 #: POSIX shared memory surfaces as plain files here on Linux
@@ -165,17 +164,16 @@ def _unlink_quietly(segment: Optional[shared_memory.SharedMemory]) -> None:
 class StoreHandle:
     """Picklable recipe for re-opening the packed feature block in a worker.
 
-    ``kind`` selects the attach path:
-
-    * ``"shm"`` — attach the named shared-memory segment (in-memory stores);
-    * ``"memmap_packed"`` — memory-map the store's ``packed.npy`` at ``path``.
+    Exactly one of the two is set: ``shm_name``, the shared-memory segment an
+    in-memory store was copied into, or ``root``, the directory of a
+    file-backed store, which the worker maps with
+    :func:`~repro.prepropagation.store.map_store`.
     """
 
-    kind: str
     shape: Tuple[int, int, int]
     dtype: str
     shm_name: Optional[str] = None
-    path: Optional[str] = None
+    root: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -189,39 +187,30 @@ class SlotHandle:
 
 # --------------------------------------------------------------------------- #
 class SharedPackedStore:
-    """Parent-side owner of the cross-process view of a feature store.
+    """Parent-side owner of the loader workers' view of a feature store.
 
-    In-memory stores pay a one-time copy of the packed block into shared
-    memory (setup cost, never charged to epoch time); file-backed stores cost
-    nothing here because workers re-open the files themselves.  Use as a
-    context manager or call :meth:`close`; a finalizer unlinks the segment at
-    interpreter exit if neither happened.
-
-    ``kind`` tags the segment name (``ppgnn-<kind>-<pid>-<hex>``) so leak
-    sweeps and humans can attribute it: loaders use the default ``"store"``,
-    the serving engine passes ``"serve"``.
+    In-memory stores pay a one-time copy of the packed block into a
+    ``ppgnn-store-*`` shared segment (setup cost, never charged to epoch
+    time); file-backed stores cost nothing here because workers re-open the
+    store directory themselves.  Use as a context manager or call
+    :meth:`close`; a finalizer unlinks the segment at interpreter exit if
+    neither happened.
     """
 
-    def __init__(
-        self, store: FeatureStore, kind: str = "store", version: Optional[int] = None
-    ) -> None:
+    def __init__(self, store: FeatureStore) -> None:
         self._segment: Optional[shared_memory.SharedMemory] = None
         shape = (store.num_matrices, store.num_rows, store.feature_dim)
         dtype = np.dtype(store.dtype)
         if store.is_file_backed:
-            self.handle = StoreHandle(
-                kind="memmap_packed", shape=shape, dtype=dtype.str, path=str(store.packed_path)
-            )
+            self.handle = StoreHandle(shape=shape, dtype=dtype.str, root=str(store.root))
         else:
             packed = store.packed_matrix()
             self._segment = shared_memory.SharedMemory(
-                create=True, size=packed.nbytes, name=_new_segment_name(kind, version)
+                create=True, size=packed.nbytes, name=_new_segment_name("store")
             )
             shared = np.ndarray(shape, dtype=dtype, buffer=self._segment.buf)
             np.copyto(shared, packed)
-            self.handle = StoreHandle(
-                kind="shm", shape=shape, dtype=dtype.str, shm_name=self._segment.name
-            )
+            self.handle = StoreHandle(shape=shape, dtype=dtype.str, shm_name=self._segment.name)
         self._finalizer = weakref.finalize(self, _unlink_quietly, self._segment)
 
     def close(self) -> None:
@@ -274,31 +263,22 @@ class AttachedStore:
     """Worker-side read view of the packed block, whatever its transport.
 
     ``gather_into(rows, out)`` fills ``out[m, i] = block[m, rows[i]]`` for all
-    matrices (or the contiguous ``inputs`` range of them) with one
-    ``np.take`` — byte-for-byte the values every loader strategy assembles,
-    so worker-built batches are bit-identical to the single-process paths.
+    matrices (or the contiguous ``inputs`` range of them) with the store's
+    own :func:`~repro.prepropagation.store.take_rows` — the gather every
+    loader strategy assembles with, so worker-built batches are bit-identical
+    to the single-process paths.
     """
 
     def __init__(self, handle: StoreHandle) -> None:
         self._attachment: Optional[Attachment] = None
-        self.num_matrices = handle.shape[0]
-        self.num_rows = handle.shape[1]
-        if handle.kind == "shm":
+        if handle.shm_name is not None:
             self._attachment = Attachment(handle.shm_name, handle.shape, handle.dtype)
             self._packed: Optional[np.ndarray] = self._attachment.array
-        elif handle.kind == "memmap_packed":
-            self._packed = np.load(handle.path, mmap_mode="r")
         else:
-            raise ValueError(f"unknown store handle kind {handle.kind!r}")
+            self._packed, _, _ = map_store(Path(handle.root))
 
     def gather_into(self, rows: np.ndarray, out: np.ndarray, inputs: Optional[range] = None) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
-            raise IndexError(f"row indices out of range [0, {self.num_rows})")
-        selected = (
-            self._packed if inputs is None else self._packed[input_slice(inputs, self.num_matrices)]
-        )
-        np.take(selected, rows, axis=1, out=out, mode="clip")
+        take_rows(self._packed[input_slice(inputs, self._packed.shape[0])], rows, out)
 
     def close(self) -> None:
         self._packed = None

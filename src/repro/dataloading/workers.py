@@ -37,8 +37,8 @@ Guarantees:
   handed the dead worker's unfinished shard on fresh task, free and result
   queues, so nothing the dead incarnation sent is ever read.  Once
   the respawn budget is exhausted the loader degrades gracefully: the
-  parent assembles the failed worker's batches in-process from the same
-  shared store — the epoch still completes, bit-identically, just slower.
+  parent assembles the failed worker's batches in-process from the wrapped
+  loader's store — the epoch still completes, bit-identically, just slower.
   Everything the supervisor did is tallied in
   :class:`~repro.resilience.supervisor.ResilienceCounters` (``.counters``).
 
@@ -74,7 +74,7 @@ from repro.dataloading.shm import SharedPackedStore, SlotRing, attach_slots, att
 from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.resilience.supervisor import ResilienceCounters, SupervisorPolicy
 from repro.utils.logging import get_logger
-from repro.utils.mp import default_start_method
+from repro.utils.mp import default_start_method, stop_pool
 from repro.utils.timer import TimeAccumulator
 
 logger = get_logger("dataloading.workers")
@@ -169,26 +169,7 @@ def _teardown(stop_event, parent_queues, processes, shared_store, slot_ring) -> 
     individual queues in place), so respawned workers and their fresh queues
     are torn down just like the originals.
     """
-    stop_event.set()
-    task_queues = parent_queues[0]
-    for task_queue in task_queues:
-        try:
-            task_queue.put_nowait(None)
-        except Exception:
-            pass
-    for process in processes:
-        process.join(timeout=2.0)
-    for process in processes:
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
-            process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - unkillable worker
-            process.kill()
-            process.join(timeout=1.0)
-    for group in parent_queues:
-        for q in group:
-            q.cancel_join_thread()
-            q.close()
+    stop_pool(stop_event, parent_queues[0], processes, [q for group in parent_queues for q in group])
     shared_store.close()
     slot_ring.close()
 
@@ -276,7 +257,6 @@ class MultiProcessLoader:
         #: workers retired for good (respawn budget spent); their shards are
         #: assembled in-process by the parent
         self._degraded: Set[int] = set()
-        self._parent_store = None  # lazy attach for degraded-mode assembly
 
         self._ctx = ctx = mp.get_context(default_start_method(start_method))
 
@@ -497,13 +477,11 @@ class MultiProcessLoader:
         )
 
     def _assemble_inline(self, rows: np.ndarray) -> PPGNNBatch:
-        """Degraded-mode assembly in the parent: same gather, same bytes."""
-        if self._parent_store is None:
-            self._parent_store = attach_store(self._shared_store.handle)
+        """Degraded-mode assembly in the parent, from the wrapped loader's store: same bytes."""
         store = self.loader.store
         block = np.empty((len(self.inputs), rows.size, store.feature_dim), dtype=store.dtype)
         began = time.perf_counter()
-        self._parent_store.gather_into(rows, block, self.inputs)
+        store.gather_packed(rows, out=block, inputs=self.inputs)
         elapsed = time.perf_counter() - began
         self.counters.inline_batches += 1
         self.assembly_times.append(elapsed)
@@ -616,9 +594,6 @@ class MultiProcessLoader:
     def close(self) -> None:
         """Stop the workers and unlink all shared-memory segments (idempotent)."""
         self._closed = True
-        if self._parent_store is not None:
-            self._parent_store.close()
-            self._parent_store = None
         if self._finalizer.alive:
             self._finalizer()
 

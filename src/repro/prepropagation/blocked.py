@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
-import os
 import queue
 import shutil
 import signal
@@ -98,7 +97,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.utils.logging import get_logger
-from repro.utils.mp import default_start_method
+from repro.utils.mp import default_start_method, stop_pool
 from repro.utils.timer import Timer
 
 logger = get_logger("prepropagation.blocked")
@@ -384,24 +383,9 @@ class _WorkerPool:
         return spmm_seconds, write_seconds
 
     def close(self) -> None:
-        self._stop.set()
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put_nowait(None)
-            except Exception:
-                pass
-        for process in self._processes:
-            process.join(timeout=2.0)
-        for process in self._processes:
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - unkillable worker
-                process.kill()
-                process.join(timeout=1.0)
-        for q in (*self._task_queues, self._result_queue):
-            q.cancel_join_thread()
-            q.close()
+        stop_pool(
+            self._stop, self._task_queues, self._processes, (*self._task_queues, self._result_queue)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -763,12 +747,7 @@ def propagate_blocked(
             if len(trusted) != len(journal.entries()):
                 # rewrite the journal to exactly the trusted prefix so a later
                 # crash+resume never sees entries for phases being recomputed
-                journal.close()
-                with open(journal.journal_path, "w") as handle:
-                    for entry in trusted:
-                        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                journal.rewrite(trusted)
             skip_phases = {(entry["kernel"], entry["hop"]) for entry in trusted}
             for entry in trusted:
                 spmm_seconds += float(entry.get("spmm_seconds", 0.0))

@@ -21,8 +21,9 @@ single kernel instead of ``K (R + 1)`` separate fancy-index gathers (see
 A file-backed store is that block on disk: ``packed.npy`` holds the
 ``(M, N, F)`` array, so a memory-mapped
 :class:`~repro.dataloading.loaders.StorageLoader` serves a chunk run with one
-contiguous read per matrix slab, and every other reader (worker processes,
-the serving engine, incremental updates) maps the same file.  A
+contiguous read per matrix slab, and every other reader of a published
+store (loader worker processes, incremental updates) maps the same file
+through :func:`map_store`, which rejects a torn one.  A
 ``meta.json`` records ``(num_kernels, num_hops)`` so :meth:`FeatureStore.load`
 restores the kernel-major structure instead of collapsing multi-kernel stores
 into one kernel.  Every store directory is written by :func:`write_store`:
@@ -201,7 +202,7 @@ def input_slice(inputs: Optional[range], num_matrices: int) -> slice:
     return slice(inputs.start, inputs.stop)
 
 
-def _take_rows(packed: np.ndarray, row_indices: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+def take_rows(packed: np.ndarray, row_indices: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
     """``np.take`` over axis 1 with explicit bounds checking.
 
     ``mode="raise"`` (the default) combined with ``out=`` forces NumPy through
@@ -369,7 +370,7 @@ class FeatureStore:
         read-only mapped block, modelling storage-resident data.
         """
         if memmap:
-            return np.load(self.packed_path, mmap_mode="r")
+            return map_store(self.packed_path.parent)[0]
         return self._features.packed
 
     def gather(
@@ -401,7 +402,7 @@ class FeatureStore:
         contiguous view of the block, so unselected matrices are never read.
         """
         packed = self.packed_matrix(memmap=memmap)
-        return _take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
+        return take_rows(packed[input_slice(inputs, packed.shape[0])], row_indices, out)
 
     @staticmethod
     def load(root: Path) -> "FeatureStore":

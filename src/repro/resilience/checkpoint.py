@@ -140,6 +140,13 @@ class PhaseJournal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
+    def rewrite(self, entries: List[dict]) -> None:
+        """Replace the journal with ``entries`` atomically: a crash keeps the old one or the new one."""
+        self.close()
+        atomic_write_text(
+            self.journal_path, "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+        )
+
     def entries(self) -> List[dict]:
         """Parsed journal entries; a torn trailing line is dropped, not fatal."""
         try:
@@ -169,9 +176,14 @@ class PhaseJournal:
                 self._handle = None
 
     def discard(self) -> None:
-        """Remove manifest + journal (run invalidated or finished)."""
+        """Remove manifest + journal and their temp files (run invalidated or finished)."""
         self.close()
-        for path in (self.manifest_path, self.journal_path, self.manifest_path.with_suffix(".tmp")):
+        for path in (
+            self.manifest_path,
+            self.journal_path,
+            self.manifest_path.with_suffix(".tmp"),
+            self.journal_path.with_suffix(".tmp"),
+        ):
             try:
                 path.unlink()
             except FileNotFoundError:

@@ -70,7 +70,6 @@ FAULT_KINDS = ("kill", "stall", "ioerror", "error", "leak")
 #: randomized plans cannot drift from the instrumented code)
 KNOWN_SITES = (
     "loader.worker.batch",       # worker-side, before assembling one batch
-    "loader.worker.heartbeat",   # worker-side, each heartbeat tick
     "blocked.phase.start",       # parent-side, before a (kernel, hop) phase
     "blocked.phase.complete",    # parent-side, after journaling a phase
     "blocked.scratch.write",     # before a scratch/store block write

@@ -32,10 +32,10 @@ logger = get_logger("resilience.janitor")
 
 __all__ = ["orphaned_segments", "sweep_orphans", "main"]
 
-#: must match ``repro.dataloading.shm._new_segment_name`` — the optional
-#: ``-v<digits>`` component is the store version baked into segments created
-#: by incremental updates, so a swap killed mid-flight leaves a name the
-#: janitor still recognizes and sweeps once the creator pid is dead
+#: matches ``repro.dataloading.shm._new_segment_name``, plus an optional
+#: ``-v<digits>`` component: ``/dev/shm`` is outside input, and segments of
+#: releases that tagged serving swaps with a store version must still be
+#: recognized and swept once their creator pid is dead
 _SEGMENT_PATTERN = re.compile(
     r"^(?P<prefix>[a-z]+)-(?P<kind>[a-z]+)(?:-v(?P<version>\d+))?-(?P<pid>\d+)-[0-9a-f]+$"
 )

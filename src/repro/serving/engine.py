@@ -2,18 +2,18 @@
 
 The paper's bargain is that all graph aggregation happens offline, so the
 online path is a pure feature gather.  :class:`ServingEngine` is that online
-path: it attaches to the packed ``(M, N, F)`` store through the same
-shared-memory/memmap transports multi-process training uses
-(:mod:`repro.dataloading.shm`), accepts node-id queries, and answers each
-batch of them with one ``gather_into`` from the attached store.  The store is
-already in RAM, so nothing sits in front of that gather, and every answer —
-``fetch``, dispatch, inline — reads all ``M`` hop matrices of its rows in that
-one gather.  What shapes the batches is **request coalescing**: the
-dispatcher is work-conserving — the moment it is free it claims everything
-pending, so the coalescing window is the previous dispatch (an idle engine
-answers a request in one hand-off, a busy one grows its batches by itself);
-duplicate ids waiting together collapse to one entry, and a query for an id
-already being gathered joins that in-flight batch instead of issuing another.
+path: it accepts node-id queries and answers each batch of them with one
+:meth:`~repro.prepropagation.store.FeatureStore.gather_packed` from the
+packed ``(M, N, F)`` store it was given — the caller's own store object, in
+RAM or mapped from its ``packed.npy``, never a copy.  Nothing sits in front
+of that gather, and every answer — ``fetch``, dispatch, inline — reads all
+``M`` hop matrices of its rows in that one gather.  What shapes the batches
+is **request coalescing**: the dispatcher is work-conserving — the moment
+it is free it claims everything pending, so the coalescing window is the
+previous dispatch (an idle engine answers a request in one hand-off, a busy
+one grows its batches by itself); duplicate ids waiting together collapse to
+one entry, and a query for an id already being gathered joins that in-flight
+batch instead of issuing another.
 Both paths — direct and coalesced — therefore return bit-identical blocks,
 so correctness tests compare them byte for byte.
 
@@ -37,11 +37,11 @@ On top of the fast path sits the **overload/resilience layer**:
   stragglers fail typed — **no submitted future is ever silently dropped**.
 
 For zero-downtime incremental updates (:mod:`repro.updates`), the engine pins
-every dispatch batch to one store version: :meth:`adopt_store` attaches the
-new version's segment off-lock, then swaps it in under the gather lock, so
-the next gather reads the new version's bytes.  If the swap fails, the
-engine keeps serving the old version bit-identically ("stale, never torn")
-and reports it via :meth:`health`.
+every dispatch batch to one store version: :meth:`adopt_store` swaps the
+store reference under the gather lock, so a gather in flight finishes on the
+old version and the next one reads the new version's bytes.  If the swap
+fails, the engine keeps serving the old version bit-identically ("stale,
+never torn") and reports it via :meth:`health`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataloading.shm import SharedPackedStore, attach_store
 from repro.prepropagation.store import FeatureStore
 from repro.resilience.faultinject import fault_point
 from repro.serving.config import ServingConfig
@@ -139,9 +138,10 @@ class ServingEngine:
     Parameters
     ----------
     store:
-        The pre-propagated :class:`FeatureStore` to serve from.  File-backed
-        packed stores are memory-mapped; in-memory stores are published once
-        into a ``ppgnn-serve-*`` shared segment.
+        The pre-propagated :class:`FeatureStore` to serve from.  Every answer
+        gathers from this object (or the one :meth:`adopt_store` swaps in);
+        the engine copies nothing and never closes it — the store belongs to
+        its caller.
     config:
         :class:`ServingConfig`; defaults apply when omitted.
     graph:
@@ -175,15 +175,10 @@ class ServingEngine:
 
         #: the store version every answer is currently pinned to
         self.store_version = str(store_version)
-        #: monotonically increasing attach epoch (tags swap shm segments)
-        self._attach_epoch = 0
         #: version name of an announced in-flight update, if any
         self._update_pending: Optional[str] = None
         #: outcome of the most recent update affecting this engine
         self._last_update: Optional[dict] = None
-
-        self._shared = SharedPackedStore(store, kind="serve")
-        self._attached = attach_store(self._shared.handle)
 
         self.stats = ServingStats()
         self._policy = self.config.resolve_supervisor()
@@ -617,7 +612,7 @@ class ServingEngine:
         """Fill ``out`` with the store blocks for ``rows`` (the ``inputs`` matrices
         only, when given); caller holds ``_gather_lock``."""
         fault_point("serve.gather", num_rows=int(rows.size))
-        self._attached.gather_into(rows, out, inputs)
+        self.store.gather_packed(rows, out=out, inputs=inputs)
 
     # ------------------------------------------------------------------ #
     # zero-downtime store version swap (epoch protection)
@@ -664,12 +659,12 @@ class ServingEngine:
     ) -> None:
         """Atomically swap serving onto a new store version.
 
-        The new segment is published and attached *before* any lock is taken;
-        the swap itself happens under the gather lock, so every dispatch
+        The swap is a reference swap under the gather lock, so every dispatch
         batch reads entirely from one version — a batch is pinned to the
-        epoch it started under and no reader ever sees a torn row.  Every
+        version it started under and no reader ever sees a torn row.  Every
         gather after the swap reads the new version, so no row needs
-        invalidating.
+        invalidating.  ``store`` must match the served store's shape, dtype
+        and node ids.
 
         ``invalidate_rows`` is ignored; removed with ``bench/``'s serving
         config in the follow-up.  On any swap failure the engine keeps
@@ -697,32 +692,16 @@ class ServingEngine:
             error = UpdateSwapError(problem)
             self.abort_update(error)
             raise error
-        # publish + attach the new epoch's segment outside every lock: the
-        # expensive part of the swap never blocks in-flight gathers
-        epoch = self._attach_epoch + 1
-        new_shared = SharedPackedStore(store, kind="serve", version=epoch)
-        try:
-            new_attached = attach_store(new_shared.handle)
-        except BaseException:
-            new_shared.close()
-            raise
         try:
             fault_point("update.swap", stage="engine", version=version)
         except BaseException as exc:
-            new_attached.close()
-            new_shared.close()
             self.abort_update(exc)
             raise UpdateSwapError(
                 f"swap to store version {version!r} failed; serving stays pinned "
                 f"to {self.store_version!r}"
             ) from exc
         with self._gather_lock:
-            old_attached = self._attached
-            old_shared = self._shared
-            self._attached = new_attached
-            self._shared = new_shared
             self.store = store
-            self._attach_epoch = epoch
         with self._cond:
             previous = self.store_version
             self.store_version = version
@@ -733,10 +712,6 @@ class ServingEngine:
                 "error": None,
                 "serving_stale": False,
             }
-        # detach the retired epoch last: gather outputs are copies, so
-        # nothing still references the old segment's memory
-        old_attached.close()
-        old_shared.close()
         logger.info("serving swapped store version %s -> %s", previous, version)
 
     # ------------------------------------------------------------------ #
@@ -802,14 +777,15 @@ class ServingEngine:
         }
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop admission, flush or abandon the queue, release the segment.
+        """Stop admission, then flush or abandon the queue.
 
         ``drain=True`` (default) lets the dispatcher flush every pending
         request within ``timeout`` (default ``config.drain_timeout_seconds``);
         requests still unanswered at the deadline fail with
         :class:`DeadlineExceeded`.  ``drain=False`` fails all pending
         requests immediately.  Either way every outstanding future resolves —
-        to data or a typed error — before the store detaches.
+        to data or a typed error — before this returns.  The store stays
+        open: it belongs to the caller.
         """
         abandoned: List[_Waiter] = []
         with self._cond:
@@ -870,8 +846,6 @@ class ServingEngine:
         if self._watchdog is not None:
             self._watchdog.join(timeout=5.0)
         self._draining = False
-        self._attached.close()
-        self._shared.close()
 
     def __enter__(self) -> "ServingEngine":
         return self

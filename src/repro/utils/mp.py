@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import sys
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 
 def default_start_method(start_method: Optional[str] = None) -> str:
@@ -24,3 +24,31 @@ def default_start_method(start_method: Optional[str] = None) -> str:
         if sys.platform == "linux" and "fork" in mp.get_all_start_methods()
         else "spawn"
     )
+
+
+def stop_pool(stop_event, task_queues: Sequence, processes: Sequence, queues: Iterable) -> None:
+    """Stop a worker pool and close its queues; both worker subsystems tear down here.
+
+    Sets ``stop_event``, posts a ``None`` sentinel on every task queue, gives
+    each process 2 s to exit, then terminates and finally kills stragglers.
+    Every queue in ``queues`` is closed without joining its feeder thread, so
+    a queue a dead worker left full cannot hang the caller.
+    """
+    stop_event.set()
+    for task_queue in task_queues:
+        try:
+            task_queue.put_nowait(None)
+        except Exception:
+            pass
+    for process in processes:
+        process.join(timeout=2.0)
+    for process in processes:
+        if process.is_alive():  # pragma: no cover - stuck worker
+            process.terminate()
+            process.join(timeout=1.0)
+        if process.is_alive():  # pragma: no cover - unkillable worker
+            process.kill()
+            process.join(timeout=1.0)
+    for q in queues:
+        q.cancel_join_thread()
+        q.close()

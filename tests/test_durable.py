@@ -4,7 +4,7 @@ A file is durable only once its bytes are fsync'd before it is renamed into
 place and its directory is fsync'd after.  These tests record every
 ``os.fsync`` and ``os.replace`` (and the ``rmtree`` that retires an old
 store) and check that order for each file the store and update paths
-publish.
+publish, and that a rewrite interrupted at its rename keeps the old file.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
 from repro.prepropagation.store import write_store
 from repro.resilience.checkpoint import PhaseJournal, RunManifest
+from repro.resilience.faultinject import FaultPlan, FaultSpec, InjectedFault
 from repro.updates import apply_update
 from repro.updates.versions import VersionedStore
 
@@ -111,3 +112,51 @@ def test_write_store_fsyncs_before_the_swap_and_the_parent_after(tmp_path, durab
         assert retired, "the old store was not retired"
         assert after.index(("fsync", root.parent.resolve())) < after.index(("rmtree", retired[-1]))
     assert np.array_equal(np.load(root / "packed.npy"), packed + 1)
+
+
+def test_journal_prefix_rewrite_is_atomic(tmp_path, monkeypatch):
+    """A resume that trusts a shorter journal prefix rewrites the journal through
+    ``atomic_write_text``: a crash at the rename keeps the old journal whole, and
+    the temp file it left is not published with the store."""
+    graph = scenario_graph(num_nodes=120, num_edges=600)
+    features = np.random.default_rng(0).standard_normal((120, 4)).astype(np.float32)
+    config = PropagationConfig(num_hops=2)
+    node_ids = np.arange(120, dtype=np.int64)
+    root = tmp_path / "store"
+
+    def propagate(**kwargs):
+        return propagate_blocked(
+            graph, features, config, node_ids=node_ids, root=root, block_size=40, resume=True, **kwargs
+        )
+
+    plan = FaultPlan(specs=[FaultSpec(site="blocked.phase.complete", kind="error", at_hit=2)])
+    with pytest.raises(InjectedFault):
+        propagate(fault_plan=plan)
+    staging = tmp_path / ".store.staging"
+    journal = PhaseJournal(staging)
+    journaled = journal.entries()
+    assert len(journaled) == 2
+    # damage the first phase's store rows: resume trusts an empty prefix and rewrites
+    packed = np.load(staging / "packed.npy", mmap_mode="r+")
+    packed[0, 0, 0] += 1.0
+    packed.flush()
+    del packed
+
+    real_replace = os.replace
+
+    def crash_on_journal(src, dst, **kwargs):
+        if Path(dst).name == journal.journal_path.name:
+            raise OSError("crash at the journal rename")
+        real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", crash_on_journal)
+    with pytest.raises(OSError, match="journal rename"):
+        propagate()
+    assert journal.entries() == journaled
+    monkeypatch.setattr(os, "replace", real_replace)
+
+    store, timing = propagate()
+    assert timing["phases_resumed"] == 0
+    assert sorted(path.name for path in root.iterdir()) == ["meta.json", "node_ids.npy", "packed.npy"]
+    reference, _ = propagate_blocked(graph, features, config, node_ids=node_ids)
+    assert np.array_equal(store.packed_matrix(), reference.packed_matrix())

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.hardware import (
     DeviceSpec,
     DoubleBufferPipeline,
-    HardwareSpec,
     LinkSpec,
     MemoryDevice,
     MemoryPool,

@@ -22,11 +22,13 @@ flakiness: the same plan fires the same faults at the same visits.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
 import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,27 @@ class TestFaultHarness:
         c = FaultPlan.randomized(seed=43, num_faults=3, max_hit=10)
         assert a.specs != c.specs
         assert_known_sites(a.specs)  # randomized plans only name real sites
+
+    def test_known_sites_are_exactly_the_visited_sites(self):
+        """``KNOWN_SITES`` is the set of site names ``fault_point`` is called with
+        in ``src/repro``: a registered site nothing visits would let a plan pass
+        :func:`assert_known_sites` and inject nothing."""
+        package = Path(faultinject.__file__).resolve().parents[1]
+        visited, dynamic = set(), []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name != "fault_point":
+                    continue
+                site = node.args[0] if node.args else None
+                if isinstance(site, ast.Constant) and isinstance(site.value, str):
+                    visited.add(site.value)
+                else:
+                    dynamic.append(f"{path.relative_to(package)}:{node.lineno}")
+        assert dynamic == [], "fault_point calls whose site is not a string literal"
+        assert set(faultinject.KNOWN_SITES) == visited
 
 
 # =========================================================================== #

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import glob
 import os
 import signal
 import sys
@@ -355,13 +356,62 @@ class TestServingFaults:
 # shared-memory lifecycle
 # =========================================================================== #
 class TestServingShm:
-    def test_engine_segment_is_tagged_and_unlinked(self, prepared_store):
-        eng = ServingEngine(prepared_store.store, ServingConfig())
-        name = eng._shared.handle.shm_name
-        assert name is not None and "-serve-" in name
-        assert os.path.exists(f"/dev/shm/{name}")
-        eng.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
+    def test_engine_reads_the_store_it_serves_and_creates_no_segment(self, prepared_store):
+        """Constructing, answering with, swapping and closing an engine over an
+        in-memory store — and SIGKILLing a process that holds one — leaves the
+        ``/dev/shm/ppgnn-*`` set as it was: the engine gathers from the store
+        object it was given, so no process boundary and no segment is involved."""
+        import multiprocessing as mp
+
+        from repro.prepropagation.store import FeatureStore, HopFeatures
+
+        def segments():
+            return set(glob.glob("/dev/shm/ppgnn-*"))
+
+        store = prepared_store.store
+        assert not store.is_file_backed
+        rows = np.array([0, 5, 9, store.num_rows - 1], dtype=np.int64)
+        before = segments()
+        eng = ServingEngine(store, ServingConfig())
+        try:
+            assert segments() == before
+            assert np.array_equal(eng.fetch(rows), store.gather_packed(rows))
+            assert segments() == before
+            patched = FeatureStore(
+                HopFeatures(
+                    store.node_ids.copy(),
+                    store.packed_matrix() + 1,
+                    num_kernels=store.num_kernels,
+                )
+            )
+            eng.adopt_store(patched, version="v0001")
+            assert segments() == before
+            assert np.array_equal(eng.fetch(rows), patched.gather_packed(rows))
+        finally:
+            eng.close()
+        assert segments() == before
+
+        ctx = mp.get_context("fork")
+        queue = ctx.Queue()
+
+        def hold_an_engine():
+            held = ServingEngine(store, ServingConfig(watchdog=False))
+            queue.put(bool(np.array_equal(held.fetch(rows), store.gather_packed(rows))))
+            time.sleep(60)  # SIGKILLed long before this returns
+
+        process = ctx.Process(target=hold_an_engine, daemon=True)
+        process.start()
+        try:
+            assert queue.get(timeout=30) is True
+            assert segments() == before
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=30)
+        finally:
+            if process.is_alive():  # pragma: no cover - cleanup on assert failure
+                process.kill()
+                process.join()
+            queue.close()
+        assert segments() == before
 
     def test_janitor_sweeps_dead_serving_segments(self, tmp_path):
         import multiprocessing as mp
@@ -376,39 +426,6 @@ class TestServingShm:
         assert sweep_orphans(shm_dir=tmp_path) == [orphan]
         assert not orphan.exists() and live.exists()
         live.unlink()
-
-    def test_sigkilled_holder_is_swept_and_fresh_engine_reattaches(self, prepared_store):
-        """SIGKILL a process holding a ppgnn-serve-* attach: the janitor must
-        sweep its real /dev/shm segment and a fresh engine must come up clean."""
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        queue = ctx.Queue()
-        store = prepared_store.store
-
-        def hold_an_attach():
-            eng = ServingEngine(store, ServingConfig(watchdog=False))
-            queue.put(eng._shared.handle.shm_name)
-            time.sleep(60)  # SIGKILLed long before this returns
-
-        process = ctx.Process(target=hold_an_attach, daemon=True)
-        process.start()
-        try:
-            name = queue.get(timeout=30)
-            assert name is not None and os.path.exists(f"/dev/shm/{name}")
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=30)
-        finally:
-            if process.is_alive():  # pragma: no cover - cleanup on assert failure
-                process.kill()
-                process.join()
-        swept = sweep_orphans()
-        assert name in [path.name for path in swept]
-        assert not os.path.exists(f"/dev/shm/{name}")
-        # a fresh engine re-attaches and serves bit-identically
-        rows = np.array([0, 5, 9], dtype=np.int64)
-        with ServingEngine(store, ServingConfig()) as eng:
-            assert np.array_equal(eng.fetch(rows), store.gather_packed(rows))
 
 
 # =========================================================================== #

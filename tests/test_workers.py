@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import glob
+import json
 import os
 import signal
 import time
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.dataloading import MultiProcessLoader, PrefetchLoader, build_loader
-from repro.dataloading.shm import SHM_PREFIX, SharedPackedStore
+from repro.dataloading.shm import SHM_PREFIX, SharedPackedStore, attach_store
 from repro.models.registry import build_pp_model
 from repro.prepropagation.pipeline import PreprocessingPipeline
 from repro.prepropagation.propagator import PropagationConfig
@@ -278,9 +279,27 @@ class TestLifecycle:
         store, _ = file_backed
         before = _shm_entries()
         with SharedPackedStore(store) as shared:
-            assert shared.handle.kind == "memmap_packed"
-            assert shared.handle.path == str(store.packed_path)
-            assert _shm_entries() - before == set()  # memmap attach: no segment
+            assert shared.handle.shm_name is None
+            assert shared.handle.root == str(store.root)
+            assert _shm_entries() - before == set()  # map_store attach: no segment
+
+    def test_worker_attach_rejects_a_torn_store(self, file_backed):
+        """Workers open a file-backed store through ``map_store``, so a store
+        whose files disagree with its ``meta.json`` fails at attach, not mid-gather."""
+        store, _ = file_backed
+        with SharedPackedStore(store) as shared:
+            attached = attach_store(shared.handle)
+            rows = np.array([3, 0, 7], dtype=np.int64)
+            out = np.empty((store.num_matrices, rows.size, store.feature_dim), dtype=store.dtype)
+            attached.gather_into(rows, out)
+            assert np.array_equal(out, store.gather_packed(rows))
+            attached.close()
+            meta_path = store.root / "meta.json"
+            meta = json.loads(meta_path.read_text())
+            meta["num_rows"] += 1
+            meta_path.write_text(json.dumps(meta))
+            with pytest.raises(ValueError, match="torn"):
+                attach_store(shared.handle)
 
 
 def _bad_schedule(num_rows):
