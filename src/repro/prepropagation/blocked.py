@@ -35,7 +35,8 @@ Because sorted labeled node ids map each graph row block ``[s, e)`` to a
 contiguous slice assignment.  The store directory itself is published by
 :func:`~repro.prepropagation.store.write_store`, staged and swapped into
 place, so a failed run of any mode leaves the previous store at ``root``
-whole.
+whole; the pid-named staging and ``ppgnn-propagate-<pid>-*`` scratch of a
+killed run are removed by the next one (:mod:`repro.resilience.durable`).
 
 Synchronization in the parallel path is phase-barriered: hop ``r`` of kernel
 ``k`` is dispatched to every worker and the parent waits for all completions
@@ -63,12 +64,10 @@ staging state and starts fresh.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import queue
 import shutil
 import signal
-import tempfile
 import time
 import traceback
 from dataclasses import dataclass
@@ -85,7 +84,6 @@ from repro.prepropagation.store import (
     FeatureStore,
     HopFeatures,
     check_layout,
-    fresh_staging,
     map_store,
     write_store,
 )
@@ -94,7 +92,9 @@ from repro.resilience.checkpoint import (
     RunManifest,
     digest_array,
     digest_parts,
+    run_parts,
 )
+from repro.resilience.durable import fresh_scratch, fresh_staging
 from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.utils.logging import get_logger
 from repro.utils.mp import default_start_method, stop_pool
@@ -405,45 +405,6 @@ def open_store_arrays(root: Path) -> Tuple[List[np.ndarray], np.memmap]:
 
 
 # --------------------------------------------------------------------------- #
-def _run_fingerprint(
-    graph: CSRGraph,
-    features: np.ndarray,
-    config: PropagationConfig,
-    node_ids: np.ndarray,
-    layout: str,
-) -> str:
-    """Identity of a resumable run: any change here invalidates stale staging.
-
-    ``layout`` is always ``"packed"``; it stays a part so manifests journaled
-    by earlier releases keep matching.  The ``"accumulate_dtype"`` part names
-    the dtype the chain accumulates in, which is the store dtype: float64
-    runs keep their fingerprints, and a float32 run staged by a release that
-    accumulated in float64 no longer matches, so its partial output (other
-    bytes) is discarded rather than resumed.  Deliberately excludes
-    ``block_size`` and ``num_workers`` — both change only the tiling /
-    scheduling of the computation, never its bytes, so a run may resume with
-    a different block plan or worker count.
-    """
-    parts = {
-        "indptr": digest_array(graph.indptr),
-        "indices": digest_array(graph.indices),
-        "edge_weight": (
-            "none" if graph.edge_weight is None else digest_array(graph.edge_weight)
-        ),
-        "features": digest_array(features),
-        "node_ids": digest_array(node_ids),
-        "num_hops": config.num_hops,
-        "operators": ",".join(config.operators),
-        "operator_kwargs": json.dumps(
-            [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
-        ),
-        "dtype": str(np.dtype(config.dtype)),
-        "accumulate_dtype": str(np.dtype(config.dtype)),
-        "layout": layout,
-    }
-    return digest_parts(parts)
-
-
 def _trusted_journal_prefix(
     journal: PhaseJournal,
     phases: List[Tuple[int, int]],
@@ -619,43 +580,17 @@ def propagate_blocked(
     journal: Optional[PhaseJournal] = None
     resuming = False  # a valid journal for this fingerprint was found
     if resume:
-        store_root = Path(root)
-        store_root.parent.mkdir(parents=True, exist_ok=True)
-        staging_root = store_root.parent / f".{store_root.name}.staging"
+        staging_root = Path(root).parent / f".{Path(root).name}.staging"
         journal = PhaseJournal(staging_root)
-        fingerprint = _run_fingerprint(graph, features, config, node_ids, "packed")
-        manifest = journal.load_manifest()
-        if manifest is not None and manifest.fingerprint == fingerprint:
-            resuming = True
-        else:
-            if manifest is not None:
-                logger.info(
-                    "resume: staging at %s belongs to a different run; invalidating",
-                    staging_root,
-                )
-            if staging_root.exists():
-                shutil.rmtree(staging_root, ignore_errors=True)
-            staging_root.mkdir(parents=True, exist_ok=True)
-            journal.write_manifest(
-                RunManifest(
-                    fingerprint=fingerprint,
-                    layout="packed",
-                    num_kernels=num_kernels,
-                    num_hops=num_hops,
-                    num_rows=num_rows,
-                    feature_dim=feature_dim,
-                    dtype=dtype.str,
-                    accumulate_dtype=dtype.str,
-                    block_size=int(block_size),
-                )
-            )
+        fingerprint = digest_parts(run_parts(graph, features, config, node_ids))
+        resuming = journal.begin(
+            RunManifest.for_run(fingerprint, config, num_rows, feature_dim, block_size)
+        )
         scratch_root = staging_root / "scratch"
-        scratch_root.mkdir(parents=True, exist_ok=True)
+        scratch_root.mkdir(exist_ok=True)
     else:
         staging_root = None
-        scratch_root = (
-            None if chained else Path(tempfile.mkdtemp(prefix="ppgnn-propagate-", dir=scratch_dir))
-        )
+        scratch_root = None if chained else fresh_scratch(scratch_dir)
 
     start_method = default_start_method(start_method)
     pool: Optional[_WorkerPool] = None

@@ -36,7 +36,6 @@ batch from all hops at once, which one block serves with one gather.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.resilience.durable import fsync_dir, fsync_file
+from repro.resilience.durable import fresh_staging, fsync_file, install_dir
 from repro.utils.logging import get_logger
 
 logger = get_logger("prepropagation.store")
@@ -122,16 +121,6 @@ def map_store(root: Path, mmap_mode: str = "r") -> Tuple[np.memmap, np.ndarray, 
     return packed, node_ids, meta
 
 
-def fresh_staging(root: Path) -> Path:
-    """An empty, process-private staging directory beside ``root``."""
-    root = Path(root)
-    root.parent.mkdir(parents=True, exist_ok=True)
-    staging = root.parent / f".{root.name}.staging-{os.getpid()}"
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir()
-    return staging
-
-
 def write_store(
     root: Path,
     packed: np.ndarray,
@@ -142,10 +131,10 @@ def write_store(
     """Publish ``packed`` and ``node_ids`` as the store at ``root``: the one store writer.
 
     ``packed.npy``, ``node_ids.npy`` and ``meta.json`` are written into a
-    staging directory, which is then swapped into ``root``, so a crash leaves
-    any previous store at ``root`` whole.  The files and the staging
-    directory are fsync'd before the swap and the parent directory after it,
-    so once this returns a crash keeps the new store.  A ``staging`` passed
+    staging directory and fsync'd, and the staging is installed at ``root``
+    by :func:`~repro.resilience.durable.install_dir`, so a crash leaves any
+    previous store at ``root`` whole and, once this returns, keeps the new
+    one.  A ``staging`` passed
     in already holds the flushed ``packed.npy`` (the blocked engine streams
     into it) and is the caller's to clean up on failure; otherwise a fresh
     one is made and removed if the write fails.
@@ -163,17 +152,7 @@ def write_store(
         (staging / _META_FILENAME).write_text(json.dumps(meta, indent=2))
         for name in (_NODE_IDS_FILENAME, _META_FILENAME):
             fsync_file(staging / name)
-        fsync_dir(staging)
-        # the old store is moved aside (not deleted) until the new one has
-        # been renamed in, so a crash at any instant destroys no data — worst
-        # case the old store survives under .<name>.old-<pid> for manual recovery
-        retired = root.parent / f".{root.name}.old-{os.getpid()}"
-        shutil.rmtree(retired, ignore_errors=True)
-        if root.exists():
-            root.replace(retired)
-        staging.replace(root)
-        fsync_dir(root.parent)
-        shutil.rmtree(retired, ignore_errors=True)
+        install_dir(staging, root)
     except BaseException:
         if owned:
             shutil.rmtree(staging, ignore_errors=True)

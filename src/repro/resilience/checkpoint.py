@@ -6,10 +6,10 @@ overwrites a disjoint region of the output store (one hop matrix) and at most
 one scratch file.  That structure makes checkpoint/resume cheap and exact:
 
 * the **manifest** (``manifest.json``) pins the run's identity — a fingerprint
-  over the graph structure, the feature bytes, the propagation config, the
-  stored node ids, the layout and the block size.  A resume against a staging
-  directory whose fingerprint differs is silently invalidated (the stale
-  staging state is discarded and the run starts fresh);
+  over :func:`run_parts`: the graph structure, the feature bytes, the
+  propagation config and the stored node ids, but not the block size, which
+  changes the tiling, never the bytes.  :meth:`PhaseJournal.begin` keeps a
+  staging directory whose fingerprint matches and wipes any other;
 * the **journal** (``journal.log``) is an append-only file of JSON lines, one
   per completed phase, fsync'd after every append so a completed phase
   survives any crash.  Each entry carries content digests of the phase's
@@ -32,18 +32,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.resilience.durable import atomic_write_text
 from repro.utils.logging import get_logger
 
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
+    from repro.prepropagation.propagator import PropagationConfig
+
 logger = get_logger("resilience.checkpoint")
 
-__all__ = ["digest_array", "digest_parts", "RunManifest", "PhaseJournal"]
+__all__ = ["digest_array", "digest_parts", "run_parts", "RunManifest", "PhaseJournal"]
 
 MANIFEST_FILENAME = "manifest.json"
 JOURNAL_FILENAME = "journal.log"
@@ -77,6 +82,38 @@ def digest_parts(parts: Dict[str, object]) -> str:
     return hasher.hexdigest()
 
 
+def run_parts(
+    graph: "CSRGraph",
+    features: np.ndarray,
+    config: "PropagationConfig",
+    node_ids: np.ndarray,
+) -> Dict[str, object]:
+    """The parts a run fingerprint digests: a resumable build's, or an update's plus its delta.
+
+    ``"layout"`` (always ``"packed"``) and ``"accumulate_dtype"`` (the store
+    dtype) stay parts so manifests and ``LAST_UPDATE.json`` records of
+    earlier releases keep matching.  ``block_size`` and ``num_workers`` are
+    left out: a run may resume under another tiling.
+    """
+    return {
+        "indptr": digest_array(graph.indptr),
+        "indices": digest_array(graph.indices),
+        "edge_weight": (
+            "none" if graph.edge_weight is None else digest_array(graph.edge_weight)
+        ),
+        "features": digest_array(features),
+        "node_ids": digest_array(node_ids),
+        "num_hops": config.num_hops,
+        "operators": ",".join(config.operators),
+        "operator_kwargs": json.dumps(
+            [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
+        ),
+        "dtype": str(np.dtype(config.dtype)),
+        "accumulate_dtype": str(np.dtype(config.dtype)),
+        "layout": "packed",
+    }
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Identity of one resumable run; a fingerprint mismatch invalidates resume."""
@@ -93,6 +130,29 @@ class RunManifest:
     accumulate_dtype: str
     block_size: int
     version: int = 1
+
+    @classmethod
+    def for_run(
+        cls,
+        fingerprint: str,
+        config: "PropagationConfig",
+        num_rows: int,
+        feature_dim: int,
+        block_size: int = 0,
+    ) -> "RunManifest":
+        """The manifest of a run of ``config`` storing ``num_rows`` rows of ``feature_dim``."""
+        dtype = np.dtype(config.dtype).str
+        return cls(
+            fingerprint=fingerprint,
+            layout="packed",
+            num_kernels=config.num_kernels,
+            num_hops=config.num_hops,
+            num_rows=int(num_rows),
+            feature_dim=int(feature_dim),
+            dtype=dtype,
+            accumulate_dtype=dtype,
+            block_size=int(block_size),
+        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -119,6 +179,25 @@ class PhaseJournal:
         self._handle = None
 
     # ------------------------------------------------------------------ #
+    def begin(self, manifest: RunManifest, resume: bool = True) -> bool:
+        """Resume the run ``manifest`` names here, or start it in an empty staging.
+
+        With ``resume`` and a staged manifest of the same fingerprint the
+        staging is kept and ``True`` returned.  Otherwise (a foreign or
+        missing run, or ``resume`` off) the staging is wiped, recreated and
+        given ``manifest``; returns ``False``.
+        """
+        staged = self.load_manifest()
+        if staged is not None and staged.fingerprint == manifest.fingerprint:
+            if resume:
+                return True
+        elif staged is not None:
+            logger.info("staging at %s belongs to a different run; invalidating", self.root)
+        self.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+        self.write_manifest(manifest)
+        return False
+
     def write_manifest(self, manifest: RunManifest) -> None:
         """Atomically publish the manifest (write-temp + fsync + rename)."""
         self.root.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,8 @@ _SEGMENT_PATTERN = re.compile(
 _DEFAULT_SHM_DIR = Path("/dev/shm")
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether a process ``pid`` exists (the creator of a segment, staging or scratch)."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -63,7 +64,7 @@ def orphaned_segments(prefix: str = "ppgnn", shm_dir: Path = _DEFAULT_SHM_DIR) -
         match = _SEGMENT_PATTERN.match(path.name)
         if match is None:
             continue  # not one of ours (or a name scheme we don't understand)
-        if not _pid_alive(int(match.group("pid"))):
+        if not pid_alive(int(match.group("pid"))):
             orphans.append(path)
     return orphans
 

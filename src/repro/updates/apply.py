@@ -24,10 +24,10 @@ The update algorithm, end to end:
    source version; any mismatch discards the staging state and raises
    :class:`~repro.updates.errors.UpdateVerificationError` — corrupt bytes are
    never published.
-6. **Publish** — rename the staged store to ``vNNNN`` and atomically repoint
-   ``CURRENT`` (:class:`~repro.updates.versions.VersionedStore`).  Readers
-   pinned to the old version keep their bytes; new readers resolve the new
-   one.
+6. **Publish** — install the staged store as ``vNNNN`` and atomically
+   repoint ``CURRENT`` (:class:`~repro.updates.versions.VersionedStore`).
+   Readers pinned to the old version keep their bytes; new readers resolve
+   the new one.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from repro.resilience.checkpoint import (
     RunManifest,
     digest_array,
     digest_parts,
+    run_parts,
 )
-from repro.resilience.durable import atomic_write_text, fsync_file
+from repro.resilience.durable import atomic_write_text, copy_tree
 from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.updates.delta import GraphDelta, apply_delta, apply_features
 from repro.updates.errors import UpdateError, UpdateVerificationError
@@ -186,45 +187,6 @@ def compute_patches(
     return patch_nodes, patch_rows, patches
 
 
-def _fingerprint_parts(
-    graph: CSRGraph,
-    features: np.ndarray,
-    delta: GraphDelta,
-    config: PropagationConfig,
-    node_ids: np.ndarray,
-    layout: str,
-) -> Dict[str, object]:
-    """Everything an update's identity hashes except the source version.
-
-    ``layout`` is always ``"packed"``; it stays a part so ``LAST_UPDATE``
-    records and staged runs from earlier releases keep matching.  So does the
-    ``"accumulate_dtype"`` key, whose value is now the store dtype (the
-    dtype the patch accumulates in): float64 stores keep their fingerprints,
-    and :func:`_legacy_parts` gives the form earlier releases wrote for a
-    float32 store, which accumulated in float64.  Digesting
-    the arrays is the expensive part, and one ``apply_update`` asks for the
-    fingerprint against up to three source versions: do it once.
-    """
-    return {
-        "indptr": digest_array(graph.indptr),
-        "indices": digest_array(graph.indices),
-        "edge_weight": (
-            "none" if graph.edge_weight is None else digest_array(graph.edge_weight)
-        ),
-        "features": digest_array(features),
-        "delta": delta.fingerprint(),
-        "node_ids": digest_array(node_ids),
-        "num_hops": config.num_hops,
-        "operators": ",".join(config.operators),
-        "operator_kwargs": json.dumps(
-            [config.kwargs_for(k) for k in range(config.num_kernels)], sort_keys=True
-        ),
-        "dtype": str(np.dtype(config.dtype)),
-        "accumulate_dtype": str(np.dtype(config.dtype)),
-        "layout": layout,
-    }
-
-
 def _legacy_parts(parts: Dict[str, object]) -> Dict[str, object]:
     """``parts`` as releases that accumulated every store in float64 wrote them.
 
@@ -286,24 +248,14 @@ def _record_last_update(
     saw gets the already-published version back instead of applying the same
     delta a second time on top of its own result.
     """
-    atomic_write_text(
-        versions.versions_root / _LAST_UPDATE_FILENAME,
-        json.dumps(
-            {
-                "fingerprint": fingerprint,
-                "source_version": source_version,
-                "target_version": target,
-            },
-            indent=2,
-        ),
-    )
+    record = {"fingerprint": fingerprint, "source_version": source_version, "target_version": target}
+    atomic_write_text(versions.versions_root / _LAST_UPDATE_FILENAME, json.dumps(record, indent=2))
 
 
-def _load_last_update(versions: VersionedStore) -> Optional[dict]:
+def _read_record(path: Path) -> Optional[dict]:
+    """The JSON record at ``path``; ``None`` if it is missing or torn."""
     try:
-        return json.loads(
-            (versions.versions_root / _LAST_UPDATE_FILENAME).read_text()
-        )
+        return json.loads(path.read_text())
     except (FileNotFoundError, json.JSONDecodeError):
         return None
 
@@ -369,15 +321,12 @@ def _clone_source(
 ) -> Dict[str, int]:
     """Copy the source version into staging; fsync'd before being journaled."""
     fault_point("update.apply", plan=fault_plan, stage="clone")
-    if staged_store.exists():
-        shutil.rmtree(staged_store)
-    shutil.copytree(source_root, staged_store)
-    sizes: Dict[str, int] = {}
-    for path in sorted(staged_store.iterdir()):
-        if path.is_file():
-            fsync_file(path)
-            sizes[path.name] = path.stat().st_size
-    return sizes
+    copy_tree(source_root, staged_store)
+    return {
+        path.name: path.stat().st_size
+        for path in sorted(staged_store.iterdir())
+        if path.is_file()
+    }
 
 
 def _clone_intact(staged_store: Path, journaled_sizes: Dict[str, int]) -> bool:
@@ -429,58 +378,51 @@ def apply_update(
     affected = affected_frontier(graph, new_graph, delta, config)
     timing["frontier_seconds"] = time.perf_counter() - began
 
-    def already_published(version: str, previous: str, store: FeatureStore) -> UpdateResult:
-        """The result of this update, found published by an earlier attempt."""
+    def result(
+        version: str,
+        previous: str,
+        store: FeatureStore,
+        patch_rows: np.ndarray,
+        resumed: bool,
+        status: str = "applied",
+    ) -> UpdateResult:
         timing["total_seconds"] = time.perf_counter() - wall_began
         return UpdateResult(
             version=version,
             previous_version=previous,
-            status="applied",
+            status=status,
             affected_nodes=int(affected.size),
-            patch_rows=np.searchsorted(node_ids, np.intersect1d(affected, node_ids)),
-            resumed=True,
-            verified=True,
+            patch_rows=patch_rows,
+            resumed=resumed,
+            verified=status == "applied",
             store=store,
             new_graph=new_graph,
             new_features=new_features,
             timing=timing,
         )
 
-    if np.intersect1d(affected, node_ids).size == 0:
-        timing["total_seconds"] = time.perf_counter() - wall_began
-        return UpdateResult(
-            version=source_version,
-            previous_version=source_version,
-            status="noop",
-            affected_nodes=int(affected.size),
-            patch_rows=np.empty(0, dtype=np.int64),
-            resumed=False,
-            verified=False,
-            store=source_store,
-            new_graph=new_graph,
-            new_features=new_features,
-            timing=timing,
-        )
+    def already_published(version: str, previous: str, store: FeatureStore) -> UpdateResult:
+        """The result of this update, found published by an earlier attempt."""
+        patch_rows = np.searchsorted(node_ids, np.intersect1d(affected, node_ids))
+        return result(version, previous, store, patch_rows, resumed=True)
 
-    parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
+    if np.intersect1d(affected, node_ids).size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return result(source_version, source_version, source_store, empty, False, status="noop")
+
+    # digested once: the fingerprint is asked for against up to three source versions
+    parts = {**run_parts(graph, features, config, node_ids), "delta": delta.fingerprint()}
     fingerprint = _update_fingerprint(parts, source_version)
 
-    last = _load_last_update(versions)
+    last = _read_record(versions.versions_root / _LAST_UPDATE_FILENAME)
     if last is not None and last.get("target_version") == source_version:
         if _published_by(parts, last.get("fingerprint"), str(last.get("source_version"))):
             # this exact update is already published and current — the
             # caller's acknowledgement was lost, not the update.  Hand the
             # published version back instead of applying the delta twice,
             # sweeping any staging leftover the crashed publisher kept.
-            leftover = versions.staging_root / _UPDATE_INFO_FILENAME
-            try:
-                leftover_info = json.loads(leftover.read_text())
-            except (FileNotFoundError, json.JSONDecodeError):
-                leftover_info = None
-            if (
-                leftover_info is not None
-                and leftover_info.get("target_version") == source_version
-            ):
+            leftover = _read_record(versions.staging_root / _UPDATE_INFO_FILENAME)
+            if leftover is not None and leftover.get("target_version") == source_version:
                 shutil.rmtree(versions.staging_root, ignore_errors=True)
             return already_published(source_version, str(last.get("source_version")), source_store)
 
@@ -497,12 +439,7 @@ def apply_update(
     resumed = False
     if resume:
         manifest = journal.load_manifest()
-        info = None
-        if info_path.exists():
-            try:
-                info = json.loads(info_path.read_text())
-            except json.JSONDecodeError:
-                info = None
+        info = _read_record(info_path)
         if (
             manifest is not None
             and info is not None
@@ -515,11 +452,8 @@ def apply_update(
             # own result — finish the cleanup and hand back the published
             # version.
             previous = str(info.get("source_version"))
-            _record_last_update(
-                versions, manifest.fingerprint, previous, source_version
-            )
+            _record_last_update(versions, manifest.fingerprint, previous, source_version)
             journal.discard()
-            journal.close()
             shutil.rmtree(staging, ignore_errors=True)
             return already_published(source_version, previous, source_store)
         if (
@@ -536,22 +470,11 @@ def apply_update(
                 elif phase == "patch":
                     trusted_patches[int(entry["matrix"])] = entry.get("rows_digest", "")
                 elif phase == "rename":
+                    # a journaled "publish" implies "rename", and the checks
+                    # above return first unless CURRENT was moved back by
+                    # hand — which repointing it below also settles
                     renamed = True
-                elif phase == "publish":
-                    # fully published before the crash; finish the cleanup
-                    if versions.current_version() != target:
-                        versions.set_current(target)
-                    _record_last_update(versions, fingerprint, source_version, target)
-                    journal.discard()
-                    shutil.rmtree(staging, ignore_errors=True)
-                    return already_published(
-                        target, source_version, FeatureStore.load(versions.path_for(target))
-                    )
             resumed = bool(trusted_clone_sizes or renamed)
-        elif manifest is not None or staging.exists():
-            logger.info("update: staging at %s belongs to a different run; invalidating", staging)
-            journal.close()
-            shutil.rmtree(staging, ignore_errors=True)
 
     if renamed and not (staged_store / "meta.json").exists():
         # the staged store was renamed into place; only CURRENT (and cleanup)
@@ -561,12 +484,7 @@ def apply_update(
             # rename intent journaled but neither staged nor target store
             # exists — unrecoverable staging state; roll back to a fresh run
             logger.warning("update: rename intent without store; restarting from clone")
-            journal.close()
-            shutil.rmtree(staging, ignore_errors=True)
-            renamed = False
             resumed = False
-            trusted_clone_sizes = None
-            trusted_patches = {}
         else:
             fault_point("update.swap", plan=fault_plan, stage="current", target=target)
             versions.set_current(target)
@@ -579,24 +497,8 @@ def apply_update(
     # ------------- fresh (or partially-trusted) staging ---------------------
     if target is None:
         target = versions.next_version()
-    if journal.load_manifest() is None or not resumed:
-        journal.close()
-        shutil.rmtree(staging, ignore_errors=True)
-        staging.mkdir(parents=True, exist_ok=True)
-        journal = PhaseJournal(staging)
-        journal.write_manifest(
-            RunManifest(
-                fingerprint=fingerprint,
-                layout="packed",
-                num_kernels=config.num_kernels,
-                num_hops=config.num_hops,
-                num_rows=int(node_ids.size),
-                feature_dim=int(features.shape[1]),
-                dtype=np.dtype(config.dtype).str,
-                accumulate_dtype=np.dtype(config.dtype).str,
-                block_size=0,
-            )
-        )
+    manifest = RunManifest.for_run(fingerprint, config, node_ids.size, features.shape[1])
+    if not journal.begin(manifest, resume=resumed):
         atomic_write_text(
             info_path,
             json.dumps({"source_version": source_version, "target_version": target}, indent=2),
@@ -696,7 +598,7 @@ def apply_update(
         if not completed:
             logger.info("update: interrupted; resumable staging kept at %s", staging)
 
-    timing["total_seconds"] = time.perf_counter() - wall_began
+    published = result(target, source_version, FeatureStore.load(target_dir), patch_rows, resumed)
     logger.info(
         "update %s -> %s: %d affected node(s), %d store row(s) patched in %.3fs%s",
         source_version,
@@ -706,19 +608,7 @@ def apply_update(
         timing["total_seconds"],
         " [resumed]" if resumed else "",
     )
-    return UpdateResult(
-        version=target,
-        previous_version=source_version,
-        status="applied",
-        affected_nodes=int(affected.size),
-        patch_rows=patch_rows,
-        resumed=resumed,
-        verified=True,
-        store=FeatureStore.load(target_dir),
-        new_graph=new_graph,
-        new_features=new_features,
-        timing=timing,
-    )
+    return published
 
 
 # --------------------------------------------------------------------------- #

@@ -17,12 +17,13 @@ Layout::
         v0002/
         .staging/            # the in-flight update (journal + staged store)
 
-``CURRENT`` is written with :func:`~repro.resilience.durable.atomic_write_text`
-(write-temp + fsync + ``os.replace`` + directory fsync), like the phase-journal
-manifest: the pointer either names the old version or the new one, never a
-torn in-between.  Old versions are kept until :meth:`VersionedStore.prune` —
-never pruned automatically, because a serving engine may still be pinned to
-one.
+:meth:`VersionedStore.publish` installs the staged store as ``vNNNN`` with
+:func:`~repro.resilience.durable.install_dir` and then writes ``CURRENT``
+with :func:`~repro.resilience.durable.atomic_write_text`: the pointer names
+the old version or the new one, never a torn in-between, and never a
+directory a crash could still lose.  Old versions are kept until
+:meth:`VersionedStore.prune` — never pruned automatically, because a serving
+engine may still be pinned to one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import shutil
 from pathlib import Path
 from typing import List
 
-from repro.resilience.durable import atomic_write_text
+from repro.resilience.durable import atomic_write_text, install_dir
 
 __all__ = ["VersionedStore", "BASE_VERSION"]
 
@@ -92,19 +93,17 @@ class VersionedStore:
 
     # ------------------------------------------------------------------ #
     def publish(self, staged_store: Path, target: str) -> Path:
-        """Rename a staged store directory into place and repoint ``CURRENT``.
+        """Install a staged store directory as ``target`` and repoint ``CURRENT``.
 
         ``target`` must be an unpublished version name (``CURRENT`` never
-        points at it yet), so removing a half-renamed leftover from a previous
-        crashed attempt is safe.
+        points at it yet), so replacing a leftover of a previous crashed
+        attempt is safe.
         """
         target_dir = self.path_for(target)
         if target == self.current_version():
             raise ValueError(f"version {target!r} is already current")
         self.versions_root.mkdir(parents=True, exist_ok=True)
-        if target_dir.exists():
-            shutil.rmtree(target_dir)
-        Path(staged_store).replace(target_dir)
+        install_dir(staged_store, target_dir)
         self.set_current(target)
         return target_dir
 

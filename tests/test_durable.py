@@ -3,8 +3,10 @@
 A file is durable only once its bytes are fsync'd before it is renamed into
 place and its directory is fsync'd after.  These tests record every
 ``os.fsync`` and ``os.replace`` (and the ``rmtree`` that retires an old
-store) and check that order for each file the store and update paths
-publish, and that a rewrite interrupted at its rename keeps the old file.
+store) and check that order for each file and store directory the store and
+update paths publish, and that a rewrite interrupted at its rename keeps the
+old file.  ``tests/test_crash_points.py`` crashes the same paths before each
+of these operations.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
 from repro.prepropagation.store import write_store
 from repro.resilience.checkpoint import PhaseJournal, RunManifest
+from repro.resilience.durable import fresh_staging
 from repro.resilience.faultinject import FaultPlan, FaultSpec, InjectedFault
 from repro.updates import apply_update
 from repro.updates.versions import VersionedStore
@@ -77,8 +80,12 @@ def test_manifest_and_current_pointer_are_published_durably(tmp_path, durable_lo
     assert_published_durably(durable_log, versions.current_path)
 
 
-@pytest.mark.parametrize("record", ["update.json", "manifest.json", "CURRENT", "LAST_UPDATE.json"])
+@pytest.mark.parametrize(
+    "record", ["update.json", "manifest.json", "CURRENT", "LAST_UPDATE.json", "v0001"]
+)
 def test_update_records_are_published_durably(tmp_path, durable_log, record):
+    """``v0001`` is the staged store directory: its entries are fsync'd
+    before it is renamed onto the version ``CURRENT`` will name."""
     graph = scenario_graph(num_nodes=120, num_edges=600)
     features = np.random.default_rng(0).standard_normal((120, 4)).astype(np.float32)
     config = PropagationConfig(num_hops=2)
@@ -112,6 +119,24 @@ def test_write_store_fsyncs_before_the_swap_and_the_parent_after(tmp_path, durab
         assert retired, "the old store was not retired"
         assert after.index(("fsync", root.parent.resolve())) < after.index(("rmtree", retired[-1]))
     assert np.array_equal(np.load(root / "packed.npy"), packed + 1)
+
+
+def test_a_store_moved_aside_by_a_dead_process_is_renamed_back(tmp_path):
+    """A process killed between moving the old store aside and renaming its
+    successor in leaves ``root`` missing.  The next staging beside ``root``
+    renames the aside copy back and removes the dead process's staging."""
+    child = os.fork()
+    if child == 0:  # pragma: no cover - exits at once, so its pid is dead
+        os._exit(0)
+    os.waitpid(child, 0)
+    root = tmp_path / "store"
+    packed = np.arange(24, dtype=np.float32).reshape(2, 4, 3)
+    write_store(root, packed, np.arange(4, dtype=np.int64), num_kernels=1)
+    root.rename(tmp_path / f".store.old-{child}")
+    (tmp_path / f".store.staging-{child}").mkdir()
+    staging = fresh_staging(root)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [staging.name, "store"]
+    assert np.array_equal(np.load(root / "packed.npy"), packed)
 
 
 def test_journal_prefix_rewrite_is_atomic(tmp_path, monkeypatch):

@@ -41,7 +41,13 @@ from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.pipeline import PreprocessingPipeline
 from repro.prepropagation.propagator import PropagationConfig
 from repro.resilience import faultinject
-from repro.resilience.checkpoint import PhaseJournal, RunManifest, digest_array
+from repro.resilience.checkpoint import (
+    PhaseJournal,
+    RunManifest,
+    digest_array,
+    digest_parts,
+    run_parts,
+)
 from repro.resilience.faultinject import (
     FaultPlan,
     FaultSpec,
@@ -274,6 +280,22 @@ class TestCheckpointPrimitives:
         assert not journal.manifest_path.exists()
         assert not journal.journal_path.exists()
         assert journal.load_manifest() is None and journal.entries() == []
+
+    @pytest.mark.parametrize(
+        "dtype, pinned",
+        [
+            ("float32", "d739ec82bd847ad72ccce0b9c14e091f"),
+            ("float64", "95d6aa70c7e77718e818774a9ecf8fbb"),
+        ],
+    )
+    def test_build_fingerprint_is_pinned(self, tiny_graph, dtype, pinned):
+        """A resumable build staged by an earlier release still resumes: the
+        values were computed by the blocked engine's own fingerprint before it
+        and the update's were merged into :func:`run_parts`."""
+        features = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
+        config = PropagationConfig(num_hops=2, dtype=dtype)
+        parts = run_parts(tiny_graph, features, config, np.arange(0, 8, 2))
+        assert digest_parts(parts) == pinned
 
 
 # =========================================================================== #

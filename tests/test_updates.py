@@ -38,6 +38,7 @@ from repro.graph.operators import operator_radius
 from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.propagator import PropagationConfig
 from repro.prepropagation.store import FeatureStore
+from repro.resilience.checkpoint import run_parts
 from repro.resilience.faultinject import (
     KNOWN_SITES,
     UPDATE_SITES,
@@ -94,6 +95,11 @@ def scenario_delta(graph, seed: int = 11, feature_dim: int = 0) -> GraphDelta:
             ),
         }
     return GraphDelta(insertions=insertions, deletions=deletions, **kwargs)
+
+
+def update_parts(graph, features, delta, config, node_ids):
+    """The parts an update's fingerprint digests: the run's identity plus its delta."""
+    return {**run_parts(graph, features, config, node_ids), "delta": delta.fingerprint()}
 
 
 def from_scratch(graph, features, config, node_ids):
@@ -408,7 +414,7 @@ class TestApplyUpdate:
         """An update on top of another asks for its fingerprint against two
         source versions (its own, and the one ``LAST_UPDATE.json`` names): the
         input arrays are hashed once for both."""
-        from repro.updates import apply as apply_module
+        from repro.resilience import checkpoint as checkpoint_module
 
         graph = scenario_graph()
         rng = np.random.default_rng(4)
@@ -423,9 +429,9 @@ class TestApplyUpdate:
             tmp_path / "store", graph, features, scenario_delta(graph, seed=40), config
         )
         digested: list = []
-        real = apply_module.digest_array
+        real = checkpoint_module.digest_array
         monkeypatch.setattr(
-            apply_module, "digest_array", lambda array: (digested.append(array), real(array))[1]
+            checkpoint_module, "digest_array", lambda array: (digested.append(array), real(array))[1]
         )
         second = apply_update(
             tmp_path / "store",
@@ -444,15 +450,13 @@ class TestApplyUpdate:
         the fingerprint was split into shared parts + source version, when a
         float32 store accumulated in float64: they pin the pre-upgrade form.
         A float64 store's fingerprint did not change with the upgrade."""
-        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
+        from repro.updates.apply import _legacy_parts, _update_fingerprint
 
         features = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
         delta = GraphDelta(insertions=np.array([[0, 2]]), deletions=np.array([[4, 5]]))
 
         def parts_for(config):
-            return _fingerprint_parts(
-                tiny_graph, features, delta, config, np.arange(0, 8, 2), "packed"
-            )
+            return update_parts(tiny_graph, features, delta, config, np.arange(0, 8, 2))
 
         parts = parts_for(PropagationConfig(num_hops=2))
         legacy = _legacy_parts(parts)
@@ -475,7 +479,7 @@ class TestApplyUpdate:
         second time."""
         from repro.prepropagation.blocked import open_store_arrays
         from repro.resilience.checkpoint import PhaseJournal, RunManifest
-        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
+        from repro.updates.apply import _legacy_parts, _update_fingerprint
 
         graph = scenario_graph()
         rng = np.random.default_rng(3)
@@ -501,7 +505,7 @@ class TestApplyUpdate:
         packed[:] = legacy_bytes
         packed.flush()
         del packed
-        parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
+        parts = update_parts(graph, features, delta, config, node_ids)
         legacy = _update_fingerprint(_legacy_parts(parts), BASE_VERSION)
         last_update = versions.versions_root / "LAST_UPDATE.json"
         if record == "last_update":
@@ -534,7 +538,7 @@ class TestApplyUpdate:
         float64-accumulated bytes: it is discarded, never resumed, and the
         rerun is byte-identical to a from-scratch build."""
         from repro.resilience.checkpoint import PhaseJournal
-        from repro.updates.apply import _fingerprint_parts, _legacy_parts, _update_fingerprint
+        from repro.updates.apply import _legacy_parts, _update_fingerprint
 
         graph = scenario_graph(num_nodes=200, num_edges=1200)
         rng = np.random.default_rng(7)
@@ -553,7 +557,7 @@ class TestApplyUpdate:
         journal = PhaseJournal(versions.staging_root)
         manifest = journal.load_manifest()
         assert [entry["phase"] for entry in journal.entries()] == ["clone"]
-        parts = _fingerprint_parts(graph, features, delta, config, node_ids, "packed")
+        parts = update_parts(graph, features, delta, config, node_ids)
         assert manifest.fingerprint == _update_fingerprint(parts, BASE_VERSION)
         journal.write_manifest(
             dataclasses.replace(
