@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from repro.api import (  # noqa: E402
     DeadlineExceeded,
-    DispatcherFailed,
     GraphDelta,
     LoaderConfig,
     OverloadError,
@@ -30,7 +29,6 @@ from repro.api import (  # noqa: E402
 __all__ = [
     "__version__",
     "DeadlineExceeded",
-    "DispatcherFailed",
     "GraphDelta",
     "LoaderConfig",
     "OverloadError",

@@ -37,7 +37,6 @@ from repro.prepropagation import PreprocessingPipeline, PropagationConfig
 from repro.prepropagation.store import FeatureStore
 from repro.serving import (
     DeadlineExceeded,
-    DispatcherFailed,
     OverloadError,
     ServingConfig,
     ServingEngine,
@@ -55,7 +54,6 @@ from repro.updates import (
 
 __all__ = [
     "DeadlineExceeded",
-    "DispatcherFailed",
     "GraphDelta",
     "LoaderConfig",
     "OverloadError",

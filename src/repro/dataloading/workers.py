@@ -256,7 +256,7 @@ class MultiProcessLoader:
         self._generations = [0] * num_workers
         #: workers retired for good (respawn budget spent); their shards are
         #: assembled in-process by the parent
-        self._degraded: Set[int] = set()
+        self._retired: Set[int] = set()
 
         self._ctx = ctx = mp.get_context(default_start_method(start_method))
 
@@ -385,7 +385,7 @@ class MultiProcessLoader:
     def _check_workers(self) -> None:
         """Fail-fast posture: a dead worker is a loud, diagnosable error."""
         for worker_id, process in enumerate(self._processes):
-            if worker_id in self._degraded:
+            if worker_id in self._retired:
                 continue
             if not process.is_alive():
                 self._raise_if_raised(worker_id)
@@ -399,7 +399,7 @@ class MultiProcessLoader:
         """(worker_id, reason) for every worker currently dead or stalled."""
         failed = []
         for worker_id, process in enumerate(self._processes):
-            if worker_id in self._degraded:
+            if worker_id in self._retired:
                 continue
             if not process.is_alive():
                 failed.append((worker_id, "crash"))
@@ -446,7 +446,7 @@ class MultiProcessLoader:
                 self.policy.max_respawns,
                 worker_id,
             )
-            self._degraded.add(worker_id)
+            self._retired.add(worker_id)
             return
         self.counters.respawns += 1
         backoff = self.policy.backoff_for(self.counters.respawns)
@@ -516,7 +516,7 @@ class MultiProcessLoader:
         for worker_id in range(self.num_workers):
             shard = [(i, batches[i]) for i in range(worker_id, len(batches), self.num_workers)]
             shards[worker_id] = shard
-            if worker_id not in self._degraded and shard:
+            if worker_id not in self._retired and shard:
                 self._task_queues[worker_id].put(
                     (epoch_id, self._generations[worker_id], shard)
                 )
@@ -542,7 +542,7 @@ class MultiProcessLoader:
                 owner = index % self.num_workers
                 deadline = time.monotonic() + self.timeout_seconds
                 while index not in pending:
-                    if owner in self._degraded:
+                    if owner in self._retired:
                         break  # assembled inline below
                     try:
                         # the owner's queue only: its batches arrive in shard order,

@@ -12,14 +12,15 @@ it, crashing builds, updates and prunes before each durable operation):
   temp write, fsync, replace, fsync the directory;
 * :func:`install_dir` publishes every store directory (a build's ``root``,
   an update's ``vNNNN``);
-* :func:`copy_tree` stages an update's clone of its source version.
+* :func:`copy_tree` stages an update's clone of its source version;
+* :func:`retire_dirs` removes pruned versions.
 
 Staging and aside directories carry their maker's pid
-(``.<name>.staging-<pid>``, ``.<name>.old-<pid>``, ``ppgnn-propagate-<pid>-*``).
-A killed process cleans nothing up, so :func:`fresh_staging`,
-:func:`install_dir` and :func:`fresh_scratch` first settle what dead pids
-left: an aside store whose successor never arrived is renamed back, the
-rest is removed.
+(``.<name>.staging-<pid>``, ``.<name>.old-<pid>``, ``.<name>.dead-<pid>``,
+``ppgnn-propagate-<pid>-*``).  A killed process cleans nothing up, so
+:func:`fresh_staging`, :func:`install_dir`, :func:`retire_dirs` and
+:func:`fresh_scratch` first settle what dead pids left: an aside store whose
+successor never arrived is renamed back, the rest is removed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.resilience.janitor import pid_alive
 
@@ -41,10 +42,13 @@ __all__ = [
     "fsync_dir",
     "fsync_file",
     "install_dir",
+    "retire_dirs",
 ]
 
 #: the blocked engine's ping/pong scratch directories
 _SCRATCH_PREFIX = "ppgnn-propagate"
+#: a retired directory on its way out; never renamed back
+_RETIRED = re.compile(r"^\..+\.dead-(?P<pid>\d+)$")
 
 
 def fsync_file(path: Path) -> None:
@@ -95,7 +99,7 @@ def _settle_dead(dest: Path) -> None:
     A dead ``.<name>.old-<pid>`` while ``dest`` is missing is the previous
     store of a process killed between its two renames: it is renamed back.
     Every other dead ``.<name>.staging-<pid>`` or ``.<name>.old-<pid>`` is
-    removed.
+    removed, and so is every dead ``.*.dead-<pid>`` in the parent.
     """
     pattern = re.compile(rf"^\.{re.escape(dest.name)}\.(?P<kind>staging|old)-(?P<pid>\d+)$")
     for entry, match in _dead_entries(dest.parent, pattern):
@@ -104,6 +108,12 @@ def _settle_dead(dest: Path) -> None:
             fsync_dir(dest.parent)
         else:
             shutil.rmtree(entry, ignore_errors=True)
+    _sweep_retired(dest.parent)
+
+
+def _sweep_retired(parent: Path) -> None:
+    for entry, _ in _dead_entries(parent, _RETIRED):
+        shutil.rmtree(entry, ignore_errors=True)
 
 
 def fresh_staging(root: Path) -> Path:
@@ -148,6 +158,25 @@ def install_dir(staging: Path, dest: Path) -> None:
     os.replace(staging, dest)
     fsync_dir(dest.parent)
     if aside.exists():
+        shutil.rmtree(aside, ignore_errors=True)
+
+
+def retire_dirs(parent: Path, names: Sequence[str]) -> None:
+    """Remove the directories ``names`` of ``parent`` so no crash leaves one half-deleted.
+
+    Each is renamed to ``.<name>.dead-<pid>`` and ``parent`` fsync'd before
+    its tree is removed: a crash leaves it whole under its name or gone from
+    it.  Retired directories of dead pids are removed first, whatever
+    ``names`` holds.
+    """
+    parent = Path(parent)
+    _sweep_retired(parent)
+    for name in names:
+        aside = parent / f".{name}.dead-{os.getpid()}"
+        if aside.exists():
+            shutil.rmtree(aside)
+        os.replace(parent / name, aside)
+        fsync_dir(parent)
         shutil.rmtree(aside, ignore_errors=True)
 
 

@@ -75,8 +75,6 @@ KNOWN_SITES = (
     "blocked.scratch.write",     # before a scratch/store block write
     "shm.unlink",                # before unlinking a shared-memory segment
     "serve.gather",              # serving engine, before every store gather
-    "serve.dispatch",            # dispatcher loop, after claiming a batch
-    "serve.drain",               # dispatcher loop, on a batch claimed during close(drain=True)
     "update.apply",              # incremental update, before a store clone / patch write
     "update.swap",               # incremental update, before publishing / engine swap
     "update.journal",            # incremental update, before a journal append

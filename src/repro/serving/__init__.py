@@ -6,11 +6,10 @@ See :class:`~repro.serving.engine.ServingEngine` for the entry point; the
 
 from repro.serving.config import SHED_POLICIES, ServingConfig
 from repro.serving.engine import ServingEngine, ServingStats
-from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError, ServingError
+from repro.serving.errors import DeadlineExceeded, OverloadError, ServingError
 
 __all__ = [
     "DeadlineExceeded",
-    "DispatcherFailed",
     "OverloadError",
     "SHED_POLICIES",
     "ServingConfig",

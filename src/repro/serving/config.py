@@ -1,18 +1,15 @@
 """Configuration for the online serving tier.
 
 One dataclass owns every serving knob — the overload/resilience posture
-(admission control, deadlines, gather retries, dispatcher watchdog, drain
-budget) — so the engine constructor does not
-sprawl into kwargs and the :mod:`repro.api` facade can hand the same object
-from session to engine unchanged.
+(admission control, deadlines, gather retries, drain budget) — so the
+engine constructor does not sprawl into kwargs and the :mod:`repro.api`
+facade can hand the same object from session to engine unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.resilience.supervisor import SupervisorPolicy
 
 __all__ = ["ServingConfig", "SHED_POLICIES"]
 
@@ -52,14 +49,12 @@ class ServingConfig:
         ``gather_retries`` times with exponential backoff starting at
         ``gather_backoff_seconds`` before failing only the affected futures.
 
-    Supervision and drain
-        ``watchdog=True`` runs a supervisor thread (checking every
-        ``watchdog_interval_seconds``) that detects a dead or stalled
-        dispatcher via ``supervisor`` heartbeat deadlines, fails its in-flight
-        futures, and respawns it under the policy's respawn budget — spending
-        the budget degrades the engine to synchronous inline gathers,
-        mirroring the self-healing loader.  ``close(drain=True)`` flushes the
-        queue within ``drain_timeout_seconds`` before tearing down.
+    Drain
+        The dispatcher runs unsupervised: a dispatch that raises fails its
+        own batch and the next one goes ahead, and a slow gather only delays
+        what waits behind it.  Deadlines bound that wait per request, and
+        ``close(drain=True)`` flushes the queue within
+        ``drain_timeout_seconds`` before tearing down.
     """
 
     #: ignored; removed with ``bench/``'s serving config in the follow-up
@@ -78,10 +73,6 @@ class ServingConfig:
     #: transient-gather retry budget per batch
     gather_retries: int = 2
     gather_backoff_seconds: float = 0.01
-    #: dispatcher supervision (heartbeat/respawn knobs come from ``supervisor``)
-    watchdog: bool = True
-    watchdog_interval_seconds: float = 0.1
-    supervisor: Optional[SupervisorPolicy] = None
     #: budget for ``close(drain=True)`` to flush pending work
     drain_timeout_seconds: float = 5.0
 
@@ -100,24 +91,5 @@ class ServingConfig:
             raise ValueError("gather_retries must be non-negative")
         if self.gather_backoff_seconds < 0:
             raise ValueError("gather_backoff_seconds must be non-negative")
-        if self.watchdog_interval_seconds <= 0:
-            raise ValueError("watchdog_interval_seconds must be positive")
         if self.drain_timeout_seconds <= 0:
             raise ValueError("drain_timeout_seconds must be positive")
-
-    def resolve_supervisor(self) -> SupervisorPolicy:
-        """The watchdog's policy: the explicit one, or serving-tuned defaults.
-
-        The loader defaults (30 s stall timeout) assume multi-second batch
-        assembly; a serving gather is milliseconds, so the default here calls
-        a dispatcher silent for 5 s stalled.
-        """
-        if self.supervisor is not None:
-            return self.supervisor
-        return SupervisorPolicy(
-            max_respawns=2,
-            backoff_seconds=0.05,
-            max_backoff_seconds=2.0,
-            stall_timeout_seconds=5.0,
-            batch_deadline_seconds=1.0,
-        )

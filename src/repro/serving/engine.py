@@ -6,7 +6,7 @@ path: it accepts node-id queries and answers each batch of them with one
 :meth:`~repro.prepropagation.store.FeatureStore.gather_packed` from the
 packed ``(M, N, F)`` store it was given — the caller's own store object, in
 RAM or mapped from its ``packed.npy``, never a copy.  Nothing sits in front
-of that gather, and every answer — ``fetch``, dispatch, inline — reads all
+of that gather, and every answer — ``fetch`` or dispatch — reads all
 ``M`` hop matrices of its rows in that one gather.  What shapes the batches
 is **request coalescing**: the dispatcher is work-conserving — the moment
 it is free it claims everything pending, so the coalescing window is the
@@ -25,13 +25,13 @@ On top of the fast path sits the **overload/resilience layer**:
 * every request may carry a deadline; the dispatcher drops expired entries
   with :class:`DeadlineExceeded` *before* paying for their gather;
 * transient gather faults are retried with bounded exponential backoff
-  before failing only the affected futures;
-* a watchdog thread supervises the dispatcher via heartbeats
-  (:class:`~repro.resilience.supervisor.SupervisorPolicy`): a dead or
-  stalled ``_serve_loop`` has its in-flight futures failed with
-  :class:`DispatcherFailed` and is respawned under a respawn budget; once
-  the budget is spent the engine *degrades* to synchronous inline gathers
-  (bit-identical, mirroring the self-healing loader) instead of going dark;
+  before failing only the affected futures, and whatever else escapes one
+  dispatch fails that batch alone — the dispatcher goes on with the next;
+* the dispatcher is one thread with no supervisor: a thread cannot be
+  replaced the way a worker process can, and a replacement would wait on
+  the same gather lock anyway.  A slow gather delays the requests behind
+  it; what bounds that wait is each request's deadline and the budget of
+  :meth:`close`;
 * :meth:`health` reports readiness/liveness, and :meth:`close` supports a
   graceful drain: admission stops, the queue flushes under a drain deadline,
   stragglers fail typed — **no submitted future is ever silently dropped**.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,7 +58,7 @@ import numpy as np
 from repro.prepropagation.store import FeatureStore
 from repro.resilience.faultinject import fault_point
 from repro.serving.config import ServingConfig
-from repro.serving.errors import DeadlineExceeded, DispatcherFailed, OverloadError
+from repro.serving.errors import DeadlineExceeded, OverloadError
 from repro.updates.errors import UpdateSwapError
 from repro.utils.logging import get_logger
 
@@ -77,7 +77,8 @@ class ServingStats:
     coalesced_window: int = 0
     #: ids that joined a batch already being gathered
     coalesced_inflight: int = 0
-    #: batches whose gather failed even after retries
+    #: batches failed without an answer: a gather that failed every retry,
+    #: or a dispatch that raised
     gather_errors: int = 0
     #: requests refused by admission control (OverloadError)
     shed: int = 0
@@ -85,12 +86,6 @@ class ServingStats:
     expired: int = 0
     #: transient gather failures that were retried
     retried: int = 0
-    #: dispatcher threads respawned by the watchdog
-    respawns: int = 0
-    dispatcher_crashes: int = 0
-    dispatcher_stalls: int = 0
-    #: requests answered synchronously after degradation to inline gathers
-    inline_gathers: int = 0
 
     def snapshot(self) -> dict:
         return {
@@ -102,10 +97,7 @@ class ServingStats:
             "shed": self.shed,
             "expired": self.expired,
             "retried": self.retried,
-            "respawns": self.respawns,
-            "dispatcher_crashes": self.dispatcher_crashes,
-            "dispatcher_stalls": self.dispatcher_stalls,
-            "inline_gathers": self.inline_gathers,
+            "respawns": 0,  # nothing respawns the dispatcher; goes with bench/'s serving.respawns row
         }
 
 
@@ -181,7 +173,6 @@ class ServingEngine:
         self._last_update: Optional[dict] = None
 
         self.stats = ServingStats()
-        self._policy = self.config.resolve_supervisor()
         #: serializes every store gather against a version swap
         self._gather_lock = threading.Lock()
         self._cond = threading.Condition()
@@ -189,24 +180,11 @@ class ServingEngine:
         self._inflight: dict[int, _Entry] = {}
         self._closed = False
         self._draining = False
-        self._degraded = False
-        #: dispatcher incarnation: bumped to retire a dead/stalled/closing loop
-        self._generation = 0
-        self._heartbeat = time.monotonic()
         self._latencies: deque = deque(maxlen=self.config.latency_window)
-        self._thread = self._spawn_dispatcher()
-        self._watchdog_stop = threading.Event()
-        self._watchdog: Optional[threading.Thread] = None
-        if self.config.watchdog:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, name="ppgnn-serving-watchdog", daemon=True
-            )
-            self._watchdog.start()
+        self._thread = threading.Thread(target=self._serve_loop, name="ppgnn-serving", daemon=True)
+        self._thread.start()
         logger.debug(
-            "serving engine up: %d rows, max_pending=%s, watchdog=%s",
-            self.num_rows,
-            self.config.max_pending,
-            self.config.watchdog,
+            "serving engine up: %d rows, max_pending=%s", self.num_rows, self.config.max_pending
         )
 
     # ------------------------------------------------------------------ #
@@ -216,9 +194,8 @@ class ServingEngine:
         """Synchronous gather, no coalescing: one fused gather from the store.
 
         The lowest-latency path for a caller already holding a batch of ids,
-        and the one every dispatch and inline answer takes.  Returns the
-        ``(M, B, F)`` block in request order; a duplicate id is simply
-        gathered again.
+        and the one every dispatch takes.  Returns the ``(M, B, F)`` block
+        in request order; a duplicate id is simply gathered again.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         out = np.empty((self.num_matrices, rows.size, self.feature_dim), dtype=self.dtype)
@@ -271,7 +248,6 @@ class ServingEngine:
         now = time.monotonic()
         ttl = deadline_seconds if deadline_seconds is not None else cfg.default_deadline_seconds
         deadline = now + ttl if ttl is not None else _NEVER
-        inline = False
         admit_deadline: Optional[float] = None
         with self._cond:
             self._ensure_open()
@@ -287,13 +263,10 @@ class ServingEngine:
                     entry.join(future, now, deadline)
                     self.stats.coalesced_window += 1
                     return future
-                if self._degraded:
-                    inline = True
-                    break
                 if cfg.max_pending is None or len(self._pending) < cfg.max_pending:
                     self._pending[row] = _Entry(future, now, deadline)
                     self._cond.notify()
-                    break
+                    return future
                 # queue full: shed now, or block for space up to the timeout
                 if cfg.shed_policy == "reject":
                     self.stats.shed += 1
@@ -312,15 +285,6 @@ class ServingEngine:
                     )
                 self._cond.wait(timeout=remaining)
                 self._ensure_open()
-        if inline:
-            # degraded mode: the dispatcher is gone for good — answer
-            # synchronously through the same gather (bit-identical)
-            block = np.ascontiguousarray(self.fetch([row])[:, 0, :])
-            self.stats.inline_gathers += 1
-            with self._cond:
-                self._latencies.append(time.monotonic() - now)
-            future.set_result(block)
-        return future
 
     def query(
         self,
@@ -384,47 +348,30 @@ class ServingEngine:
                     del self._pending[row]
             self._cond.notify_all()  # queue space may have freed for blocked admits
 
+    # A future is settled by whoever holds its entry: the dispatcher that
+    # claimed it, ``close`` once it takes the entry from the dispatcher, or
+    # the deadline pass that takes the waiter out of it.  So it is settled
+    # once; the only race left is the caller cancelling it.
     @staticmethod
     def _resolve(future: Future, block: np.ndarray) -> None:
-        """Set a result, tolerating futures already cancelled or failed elsewhere."""
-        try:
-            if future.set_running_or_notify_cancel():
-                future.set_result(block)
-        except InvalidStateError:
-            pass  # watchdog or close already failed this future; their verdict stands
+        if future.set_running_or_notify_cancel():
+            future.set_result(block)
 
     @staticmethod
     def _fail(future: Future, exc: BaseException) -> None:
-        try:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(exc)
-        except InvalidStateError:
-            pass
+        if future.set_running_or_notify_cancel():
+            future.set_exception(exc)
 
-    def _spawn_dispatcher(self) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._serve_loop, args=(self._generation,), name="ppgnn-serving", daemon=True
-        )
-        thread.start()
-        return thread
-
-    def _serve_loop(self, generation: int) -> None:
-        # bounded waits keep the heartbeat fresh while idle, so the watchdog
-        # only sees a stale heartbeat when the loop is genuinely wedged
-        wait_slice = self._policy.stall_timeout_seconds / 4.0
+    def _serve_loop(self) -> None:
         while True:
             with self._cond:
-                self._heartbeat = now = time.monotonic()
-                while generation == self._generation and not self._closed and not self._pending:
-                    self._cond.wait(timeout=wait_slice)
-                    self._heartbeat = now = time.monotonic()
-                if generation != self._generation:
-                    return
+                while not self._closed and not self._pending:
+                    self._cond.wait()
                 if not self._pending:
                     return  # closed and flushed
                 # work-conserving claim: everything that queued up while the
                 # previous dispatch ran leaves now, as one batch
-                draining = self._closed
+                now = time.monotonic()
                 batch = self._pending
                 self._pending = OrderedDict()
                 expired = self._drop_expired(batch, now)
@@ -440,10 +387,13 @@ class ServingEngine:
                 )
             if not batch:
                 continue
-            if draining:
-                fault_point("serve.drain", pending=len(batch), generation=generation)
-            fault_point("serve.dispatch", batch_size=len(batch), generation=generation)
-            self._dispatch(batch, generation)
+            try:
+                self._dispatch(batch)
+            except BaseException as exc:
+                logger.exception("serving dispatch of %d row(s) failed", len(batch))
+                self._fail_batch(batch, exc)
+                if not isinstance(exc, Exception):
+                    raise  # an exit request ends the dispatcher; anything else fails one batch
 
     def _drop_expired(self, batch: "OrderedDict[int, _Entry]", now: float) -> List[_Waiter]:
         """Deadline pass: take expired waiters out of ``batch`` before paying for their gather.
@@ -466,12 +416,8 @@ class ServingEngine:
         self.stats.expired += len(expired)
         return expired
 
-    def _dispatch(self, batch: "OrderedDict[int, _Entry]", generation: int) -> None:
+    def _dispatch(self, batch: "OrderedDict[int, _Entry]") -> None:
         cfg = self.config
-        if generation != self._generation:
-            # retired by the watchdog, which already settled these futures
-            # (an unlocked read: the check that decides is the one at retire)
-            return
         rows = np.fromiter(batch, dtype=np.int64, count=len(batch))
         attempt = 0
         while True:
@@ -488,123 +434,52 @@ class ServingEngine:
                     "serve gather failed (retry %d/%d): %s", attempt, cfg.gather_retries, exc
                 )
                 time.sleep(min(cfg.gather_backoff_seconds * (2 ** (attempt - 1)), 1.0))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-                self._fail_batch(batch, exc)
-                return
         # every answer is copied out before the first future resolves: a copy
         # releases the GIL, and a waiter already woken would take it each time
         answers = [np.ascontiguousarray(blocks[:, i, :]) for i in range(len(batch))]
         done = time.monotonic()
-        # pop from inflight under the lock *before* distributing: after this
-        # no new future can join an entry, so entry.futures is final
         with self._cond:
-            if generation != self._generation:
-                return  # watchdog failed these futures while we gathered
-            for row in batch:
-                self._inflight.pop(row, None)
+            owned = self._release(batch)
             self.stats.batches += 1
-            self._latencies.extend(
-                done - waiter[1] for entry in batch.values() for waiter in entry.futures
-            )
-            self._cond.notify_all()  # wake the drain waiter in close()
-        for entry, block in zip(batch.values(), answers):
+            self._latencies.extend(done - waiter[1] for _, entry in owned for waiter in entry.futures)
+        for i, entry in owned:
             for waiter in entry.futures:
-                self._resolve(waiter[0], block)
+                self._resolve(waiter[0], answers[i])
 
     def _fail_batch(self, batch: "OrderedDict[int, _Entry]", exc: BaseException) -> None:
         with self._cond:
-            for row in batch:
-                self._inflight.pop(row, None)
+            owned = self._release(batch)
             self.stats.gather_errors += 1
-            self._cond.notify_all()
-        for entry in batch.values():
+        for _, entry in owned:
             for future, _, _ in entry.futures:
                 self._fail(future, exc)
 
-    # ------------------------------------------------------------------ #
-    # supervision
-    # ------------------------------------------------------------------ #
-    def _watchdog_loop(self) -> None:
-        policy = self._policy
-        while not self._watchdog_stop.wait(self.config.watchdog_interval_seconds):
-            with self._cond:
-                if self._degraded:
-                    continue
-                thread = self._thread
-                alive = thread is not None and thread.is_alive()
-                busy = bool(self._pending or self._inflight)
-                stale = time.monotonic() - self._heartbeat > policy.stall_timeout_seconds
-                drained_exit = self._closed and not busy
-            if not alive and not drained_exit:
-                self._recover(crashed=True)
-            elif alive and busy and stale:
-                self._recover(crashed=False)
+    def _release(self, batch: "OrderedDict[int, _Entry]") -> List[Tuple[int, _Entry]]:
+        """Take ``batch`` out of ``_inflight``; its ``(position, entry)`` pairs still to settle.
 
-    def _recover(self, crashed: bool) -> None:
-        """Retire the current dispatcher, fail its in-flight work, respawn or degrade."""
-        policy = self._policy
-        pending_to_drain: "OrderedDict[int, _Entry]" = OrderedDict()
-        with self._cond:
-            if self._degraded:
-                return
-            self._generation += 1  # retires the old loop (it exits at its next check)
-            victims: List[Future] = []
-            for entry in self._inflight.values():
-                victims.extend(future for future, _, _ in entry.futures)
-            self._inflight.clear()
-            if crashed:
-                self.stats.dispatcher_crashes += 1
-            else:
-                self.stats.dispatcher_stalls += 1
-            exhausted = self.stats.respawns >= policy.max_respawns
-            if exhausted:
-                self._degraded = True
-                pending_to_drain = self._pending
-                self._pending = OrderedDict()
-            self._cond.notify_all()
-        kind = "stalled" if not crashed else "died"
-        error = DispatcherFailed(f"serving dispatcher {kind}; in-flight request abandoned")
-        for future in victims:
-            self._fail(future, error)
-        if exhausted:
-            logger.warning(
-                "serving dispatcher %s with respawn budget (%d) spent: "
-                "degrading to inline gathers",
-                kind,
-                policy.max_respawns,
-            )
-            self._drain_inline(pending_to_drain)
-            return
-        delay = policy.backoff_for(self.stats.respawns + 1)
-        if delay > 0:
-            time.sleep(delay)
-        with self._cond:
-            self.stats.respawns += 1
-            self._heartbeat = time.monotonic()
-            self._thread = self._spawn_dispatcher()
-        logger.warning(
-            "serving dispatcher %s: respawned (%d/%d respawns used)",
-            kind,
-            self.stats.respawns,
-            policy.max_respawns,
-        )
+        Caller holds ``_cond``.  An entry ``close`` already took (and failed)
+        is not returned.  Once out of ``_inflight`` no future can join an
+        entry, so ``entry.futures`` is final.
+        """
+        owned = [
+            (i, entry)
+            for i, (row, entry) in enumerate(batch.items())
+            if self._inflight.pop(row, None) is entry
+        ]
+        self._cond.notify_all()  # wake the drain waiter in close()
+        return owned
 
-    def _drain_inline(self, pending: "OrderedDict[int, _Entry]") -> None:
-        """Degraded-mode flush: answer stranded pending entries synchronously."""
-        for row, entry in pending.items():
-            try:
-                block = np.ascontiguousarray(self.fetch([int(row)])[:, 0, :])
-            except Exception as exc:
-                for future, _, _ in entry.futures:
-                    self._fail(future, exc)
-                continue
-            self.stats.inline_gathers += 1
-            done = time.monotonic()
-            with self._cond:
-                for _, enqueued, _ in entry.futures:
-                    self._latencies.append(done - enqueued)
-            for future, _, _ in entry.futures:
-                self._resolve(future, block)
+    def _take_all(self) -> List[_Waiter]:
+        """Empty the queue and the in-flight set; every waiter in them.  Caller holds ``_cond``."""
+        waiters = [
+            waiter
+            for entries in (self._pending, self._inflight)
+            for entry in entries.values()
+            for waiter in entry.futures
+        ]
+        self._pending = OrderedDict()
+        self._inflight.clear()
+        return waiters
 
     def _gather_rows(
         self, rows: np.ndarray, out: np.ndarray, inputs: Optional[range] = None
@@ -724,29 +599,23 @@ class ServingEngine:
     def health(self) -> dict:
         """Readiness/liveness snapshot for load balancers and operators.
 
-        ``ready`` — the engine accepts new submissions; ``live`` — requests
-        are being answered (by the dispatcher or, degraded, inline).  The
-        ``watchdog`` block reports dispatcher supervision state.
+        ``live`` — the dispatcher thread is running and the engine is open;
+        ``ready`` — live, and admitting new submissions (not draining).
         """
         with self._cond:
-            thread = self._thread
-            dispatcher_alive = thread is not None and thread.is_alive()
+            live = self._thread.is_alive() and not self._closed
             queue_depth = len(self._pending)
             inflight = len(self._inflight)
             draining = self._draining
             closed = self._closed
-            degraded = self._degraded
-            heartbeat_age = time.monotonic() - self._heartbeat
             store_version = self.store_version
             update_pending = self._update_pending
             last_update = dict(self._last_update) if self._last_update else None
         stats = self.snapshot()
         max_pending = self.config.max_pending
-        answering = dispatcher_alive or degraded
         return {
-            "live": answering and not closed,
-            "ready": answering and not closed and not draining,
-            "degraded": degraded,
+            "live": live,
+            "ready": live and not draining,
             "draining": draining,
             "closed": closed,
             "queue_depth": queue_depth,
@@ -765,15 +634,6 @@ class ServingEngine:
                 "error": last_update["error"] if last_update else None,
                 "serving_stale": bool(last_update and last_update["serving_stale"]),
             },
-            "watchdog": {
-                "enabled": self._watchdog is not None,
-                "dispatcher_alive": dispatcher_alive,
-                "heartbeat_age_seconds": heartbeat_age,
-                "respawns": stats["respawns"],
-                "respawns_remaining": max(self._policy.max_respawns - stats["respawns"], 0),
-                "crashes": stats["dispatcher_crashes"],
-                "stalls": stats["dispatcher_stalls"],
-            },
         }
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
@@ -782,69 +642,41 @@ class ServingEngine:
         ``drain=True`` (default) lets the dispatcher flush every pending
         request within ``timeout`` (default ``config.drain_timeout_seconds``);
         requests still unanswered at the deadline fail with
-        :class:`DeadlineExceeded`.  ``drain=False`` fails all pending
-        requests immediately.  Either way every outstanding future resolves —
-        to data or a typed error — before this returns.  The store stays
-        open: it belongs to the caller.
+        :class:`DeadlineExceeded`.  ``drain=False`` fails all pending and
+        claimed requests immediately.  Either way every outstanding future
+        resolves — to data or a typed error — before this returns.  The
+        dispatcher is waited for only until the same deadline: one still
+        inside a slow gather exits when it returns, with nothing left to
+        answer.  The store stays open: it belongs to the caller.
         """
+        budget = timeout if timeout is not None else self.config.drain_timeout_seconds
+        deadline = time.monotonic() + budget
         abandoned: List[_Waiter] = []
+        timed_out = False
         with self._cond:
             if self._closed:
                 return
             self._draining = True
-            if not drain:
-                # abandon queued AND claimed work: the generation bump below
-                # retires the dispatcher, so an in-flight batch would never be
-                # distributed — its futures must be failed here instead
-                for entry in self._pending.values():
-                    abandoned.extend(entry.futures)
-                for entry in self._inflight.values():
-                    abandoned.extend(entry.futures)
-                self._pending = OrderedDict()
-                self._inflight.clear()
-                self._generation += 1
             self._closed = True
             self._cond.notify_all()
-        leftovers: List[_Waiter] = []
-        timed_out = False
-        if drain:
-            budget = timeout if timeout is not None else self.config.drain_timeout_seconds
-            deadline = time.monotonic() + budget
-            with self._cond:
-                # the dispatcher (respawned by the watchdog if it dies
-                # mid-drain) flushes the queue; degraded engines have none
-                while self._pending or self._inflight:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        timed_out = True
-                        break
-                    self._cond.wait(timeout=remaining)
-                if timed_out:
-                    for entry in self._pending.values():
-                        leftovers.extend(entry.futures)
-                    for entry in self._inflight.values():
-                        leftovers.extend(entry.futures)
-                    self._pending = OrderedDict()
-                    self._inflight.clear()
-        with self._cond:
-            self._generation += 1  # retire the dispatcher whether or not it drained
-            thread = self._thread
-            self._cond.notify_all()
-        self._watchdog_stop.set()
+            if not drain:
+                abandoned = self._take_all()
+            while self._pending or self._inflight:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    timed_out = True
+                    abandoned = self._take_all()
+                    break
+                self._cond.wait(timeout=remaining)
         if timed_out:
             error: Exception = DeadlineExceeded(
-                f"drain deadline ({budget}s) exceeded; {len(leftovers)} request(s) abandoned"
+                f"drain deadline ({budget}s) exceeded; {len(abandoned)} request(s) abandoned"
             )
         else:
             error = RuntimeError("ServingEngine closed before dispatch")
-        for future, _, _ in leftovers:
-            self._fail(future, error)
         for future, _, _ in abandoned:
             self._fail(future, error)
-        if thread is not None:
-            thread.join(timeout=max(self._policy.stall_timeout_seconds, 5.0))
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=5.0)
+        self._thread.join(timeout=max(deadline - time.monotonic(), 0.0))
         self._draining = False
 
     def __enter__(self) -> "ServingEngine":

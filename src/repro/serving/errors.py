@@ -2,15 +2,15 @@
 
 Every way a submitted request can fail without data maps to one exception
 class, so callers (and the overload benchmark's "no silently dropped
-request" invariant) can distinguish *shed*, *expired*, and
-*dispatcher-killed* work from genuine bugs by type alone.  All of them
-subclass :class:`ServingError`, which itself is a ``RuntimeError`` so
-pre-existing ``except RuntimeError`` call sites keep working.
+request" invariant) can distinguish *shed* and *expired* work from genuine
+bugs by type alone.  All of them subclass :class:`ServingError`, which
+itself is a ``RuntimeError`` so pre-existing ``except RuntimeError`` call
+sites keep working.
 """
 
 from __future__ import annotations
 
-__all__ = ["ServingError", "OverloadError", "DeadlineExceeded", "DispatcherFailed"]
+__all__ = ["ServingError", "OverloadError", "DeadlineExceeded"]
 
 
 class ServingError(RuntimeError):
@@ -34,11 +34,3 @@ class DeadlineExceeded(ServingError):
     budget.
     """
 
-
-class DispatcherFailed(ServingError):
-    """The dispatcher thread died or stalled with this request in flight.
-
-    Set by the watchdog when it fails in-flight futures before respawning
-    the dispatcher (or degrading to inline gathers once the respawn budget
-    is spent).
-    """

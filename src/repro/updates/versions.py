@@ -29,11 +29,10 @@ engine may still be pinned to one.
 from __future__ import annotations
 
 import re
-import shutil
 from pathlib import Path
 from typing import List
 
-from repro.resilience.durable import atomic_write_text, install_dir
+from repro.resilience.durable import atomic_write_text, install_dir, retire_dirs
 
 __all__ = ["VersionedStore", "BASE_VERSION"]
 
@@ -119,13 +118,13 @@ class VersionedStore:
 
         Never automatic, never touches ``base`` or the current version:
         readers may hold any version open, so pruning is an explicit operator
-        decision.
+        decision.  A version is renamed aside before it is removed, so a crash
+        never leaves a listed version half-deleted.
         """
         if keep < 0:
             raise ValueError("keep must be non-negative")
         current = self.current_version()
         candidates = [v for v in self.list_versions() if v != current]
         doomed = candidates[: max(0, len(candidates) - keep)]
-        for version in doomed:
-            shutil.rmtree(self.versions_root / version, ignore_errors=True)
+        retire_dirs(self.versions_root, doomed)
         return doomed

@@ -122,7 +122,6 @@ class TestSession:
 
         assert repro.OverloadError is errors.OverloadError
         assert repro.DeadlineExceeded is errors.DeadlineExceeded
-        assert repro.DispatcherFailed is errors.DispatcherFailed
         assert issubclass(repro.OverloadError, repro.ServingError)
         assert issubclass(repro.ServingError, RuntimeError)
 

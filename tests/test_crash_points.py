@@ -382,3 +382,38 @@ def test_one_shot_build_killed_mid_phase_leaves_no_staging_or_scratch(tmp_path, 
     assert _bytes(_read_root(work)) == oracle(NEW_GRAPH)
     assert sorted(path.name for path in work.iterdir()) == ["scratch", "store"]
     assert list((work / "scratch").iterdir()) == []
+
+
+def test_prune_killed_at_its_second_unlink_leaves_every_listed_version_loadable(template, oracle):
+    """Prefix: ``prune(keep=0)`` of three versions, SIGKILLed at the second
+    ``os.unlink`` of its tree removal.  A version is renamed aside before it
+    is removed, so what ``list_versions`` still lists is whole; the rerun
+    sweeps the dead process's aside."""
+    scenario = next(s for s in SCENARIOS if s.name == "prune")
+    copy = template(scenario)
+    work = copy("crash")
+
+    def killed_at_second_unlink() -> None:
+        real, calls = os.unlink, []
+
+        def unlink(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        os.unlink = unlink
+        scenario.run(work)
+
+    assert _in_child(killed_at_second_unlink) == -signal.SIGKILL
+    versions = VersionedStore(work / "store")
+    listed = versions.list_versions()
+    assert "v0003" in listed
+    for version in listed:
+        FeatureStore.load(versions.path_for(version))
+    scenario.run(work)
+    clean = copy("clean")
+    scenario.run(clean)
+    assert versions.list_versions() == ["v0003"]
+    assert _bytes(_read_current(work)) == oracle(CHAIN_GRAPHS[-1])
+    assert _tree(work) == _tree(clean), "the rerun left the dead prune's aside behind"

@@ -139,6 +139,31 @@ def test_a_store_moved_aside_by_a_dead_process_is_renamed_back(tmp_path):
     assert np.array_equal(np.load(root / "packed.npy"), packed)
 
 
+def test_prune_renames_each_version_aside_and_fsyncs_before_removing_it(tmp_path, durable_log):
+    """Each pruned version leaves its name by one rename, made durable by one
+    fsync of ``versions/`` before its tree is removed; a dead process's
+    retired version is swept first."""
+    child = os.fork()
+    if child == 0:  # pragma: no cover - exits at once, so its pid is dead
+        os._exit(0)
+    os.waitpid(child, 0)
+    versions = VersionedStore(tmp_path / "store")
+    for name in ("v0001", "v0002", "v0003"):
+        (versions.versions_root / name).mkdir(parents=True)
+        (versions.versions_root / name / "packed.npy").write_bytes(b"x")
+    (versions.versions_root / f".v0000.dead-{child}").mkdir()
+    versions.set_current("v0003")
+    durable_log.clear()
+    assert versions.prune(keep=0) == ["v0001", "v0002"]
+    root = versions.versions_root.resolve()
+    expected = [("rmtree", root / f".v0000.dead-{child}")]
+    for name in ("v0001", "v0002"):
+        aside = root / f".{name}.dead-{os.getpid()}"
+        expected += [("replace", root / name, aside), ("fsync", root), ("rmtree", aside)]
+    assert durable_log == expected
+    assert sorted(path.name for path in versions.versions_root.iterdir()) == ["CURRENT", "v0003"]
+
+
 def test_journal_prefix_rewrite_is_atomic(tmp_path, monkeypatch):
     """A resume that trusts a shorter journal prefix rewrites the journal through
     ``atomic_write_text``: a crash at the rename keeps the old journal whole, and

@@ -1,9 +1,9 @@
 """Serving tier: coalescing, admission, faults.
 
 The load-bearing property throughout is *bit identity*: whatever path a
-query takes — direct gather, ``fetch``, coalesced micro-batch, inline
-degraded answer — the returned block must equal the reference
-``store.gather_packed`` values byte for byte.
+query takes — direct gather, ``fetch`` or coalesced micro-batch — the
+returned block must equal the reference ``store.gather_packed`` values
+byte for byte.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import pytest
 
 from repro.resilience.faultinject import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.janitor import sweep_orphans
-from repro.resilience.supervisor import SupervisorPolicy
 from repro.serving import (
     DeadlineExceeded,
-    DispatcherFailed,
     OverloadError,
     ServingConfig,
     ServingEngine,
@@ -316,6 +314,29 @@ class TestServingFaults:
             expected = store.gather_packed(np.array([1], dtype=np.int64))[:, 0, :]
             assert np.array_equal(eng.submit(1).result(timeout=10), expected)
 
+    def test_a_dispatch_that_raises_fails_its_batch_and_the_next_is_served(
+        self, prepared_store, monkeypatch
+    ):
+        """A failure outside the retried gather — here a malformed block that
+        breaks the answer split — fails its own batch, and the same
+        dispatcher thread serves the next one."""
+        store = prepared_store.store
+        with ServingEngine(store, ServingConfig()) as eng:
+            real_fetch, calls = eng.fetch, []
+
+            def malformed_once(rows):
+                calls.append(rows)
+                return np.empty(0) if len(calls) == 1 else real_fetch(rows)
+
+            monkeypatch.setattr(eng, "fetch", malformed_once)
+            dispatcher = eng._thread
+            with pytest.raises(IndexError):
+                eng.submit(1).result(timeout=10)
+            expected = store.gather_packed(np.array([2], dtype=np.int64))[:, 0, :]
+            assert np.array_equal(eng.submit(2).result(timeout=10), expected)
+            assert eng._thread is dispatcher and eng.health()["ready"]
+            assert eng.snapshot()["gather_errors"] == 1
+
     @pytest.mark.parametrize("model_name", ["sgc", "sign"])
     def test_predict_reads_model_inputs_and_keeps_the_fault_point(
         self, prepared_store, small_dataset, model_name
@@ -395,7 +416,7 @@ class TestServingShm:
         queue = ctx.Queue()
 
         def hold_an_engine():
-            held = ServingEngine(store, ServingConfig(watchdog=False))
+            held = ServingEngine(store, ServingConfig())
             queue.put(bool(np.array_equal(held.fetch(rows), store.gather_packed(rows))))
             time.sleep(60)  # SIGKILLed long before this returns
 
@@ -431,18 +452,9 @@ class TestServingShm:
 # =========================================================================== #
 # admission control + backpressure
 # =========================================================================== #
-def quiet_config(**overrides):
-    """No watchdog: for tests that park submissions in the pending
-    queue behind :func:`held_dispatcher`, so admission, deadline and drain
-    behavior can be observed deterministically."""
-    defaults = dict(watchdog=False)
-    defaults.update(overrides)
-    return ServingConfig(**defaults)
-
-
 class TestAdmissionControl:
     def test_reject_policy_sheds_with_typed_error(self, prepared_store):
-        config = quiet_config(max_pending=4, shed_policy="reject")
+        config = ServingConfig(max_pending=4, shed_policy="reject")
         with ServingEngine(prepared_store.store, config) as eng:
             with held_dispatcher(eng):
                 admitted = [eng.submit(row) for row in range(4)]
@@ -455,7 +467,7 @@ class TestAdmissionControl:
                 assert np.array_equal(future.result(timeout=10), expected)
 
     def test_coalesced_joins_bypass_admission(self, prepared_store):
-        config = quiet_config(max_pending=1, shed_policy="reject")
+        config = ServingConfig(max_pending=1, shed_policy="reject")
         with ServingEngine(prepared_store.store, config) as eng:
             with held_dispatcher(eng):
                 first = eng.submit(5)
@@ -464,7 +476,7 @@ class TestAdmissionControl:
             assert np.array_equal(first.result(timeout=10), joined.result(timeout=10))
 
     def test_block_policy_times_out_with_typed_error(self, prepared_store):
-        config = quiet_config(
+        config = ServingConfig(
             max_pending=1, shed_policy="block", admission_timeout_seconds=0.05
         )
         with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
@@ -476,7 +488,7 @@ class TestAdmissionControl:
             assert eng.snapshot()["shed"] == 1
 
     def test_block_policy_admits_when_dispatcher_drains(self, prepared_store):
-        config = quiet_config(
+        config = ServingConfig(
             max_pending=1, shed_policy="block", admission_timeout_seconds=10.0
         )
         store = prepared_store.store
@@ -497,7 +509,7 @@ class TestAdmissionControl:
             assert eng.snapshot()["shed"] == 0
 
     def test_unbounded_queue_never_sheds(self, prepared_store):
-        config = quiet_config(max_pending=None)
+        config = ServingConfig(max_pending=None)
         with ServingEngine(prepared_store.store, config) as eng:
             with held_dispatcher(eng):
                 futures = [eng.submit(row) for row in range(64)]
@@ -512,7 +524,7 @@ class TestAdmissionControl:
 # =========================================================================== #
 class TestDeadlines:
     def test_expired_request_fails_typed_before_gather(self, prepared_store):
-        with ServingEngine(prepared_store.store, quiet_config()) as eng:
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng:
             with held_dispatcher(eng) as plugged:
                 doomed = eng.submit(3, deadline_seconds=0.02)  # expires while it waits
                 time.sleep(0.05)
@@ -523,7 +535,7 @@ class TestDeadlines:
             assert eng.snapshot()["batches"] == 1  # the plug's: nothing was gathered for row 3
 
     def test_config_default_deadline_applies(self, prepared_store):
-        config = quiet_config(default_deadline_seconds=0.02)
+        config = ServingConfig(default_deadline_seconds=0.02)
         with ServingEngine(prepared_store.store, config) as eng:
             with held_dispatcher(eng):
                 doomed = eng.submit(3)
@@ -533,7 +545,7 @@ class TestDeadlines:
 
     def test_mixed_deadlines_on_one_entry(self, prepared_store):
         store = prepared_store.store
-        with ServingEngine(store, quiet_config()) as eng:
+        with ServingEngine(store, ServingConfig()) as eng:
             with held_dispatcher(eng):
                 doomed = eng.submit(7, deadline_seconds=0.02)
                 patient = eng.submit(7)  # coalesces onto the same entry, no deadline
@@ -553,7 +565,6 @@ class TestGatherRetry:
         config = ServingConfig(
             gather_retries=2,
             gather_backoff_seconds=0.001,
-            watchdog=False,
         )
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="error", at_hit=1)])
         with ServingEngine(store, config) as eng, plan.active():
@@ -567,7 +578,6 @@ class TestGatherRetry:
         store = prepared_store.store
         config = ServingConfig(
             gather_backoff_seconds=0.001,
-            watchdog=False,
         )
         plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="ioerror", at_hit=1)])
         with ServingEngine(store, config) as eng, plan.active():
@@ -578,7 +588,6 @@ class TestGatherRetry:
         config = ServingConfig(
             gather_retries=1,
             gather_backoff_seconds=0.001,
-            watchdog=False,
         )
         plan = FaultPlan(
             specs=[FaultSpec(site="serve.gather", kind="error", at_hit=1, repeat=100)]
@@ -597,117 +606,36 @@ class TestGatherRetry:
 
 
 # =========================================================================== #
-# dispatcher supervision (watchdog)
+# a slow gather
 # =========================================================================== #
-def eager_policy(max_respawns=2):
-    return SupervisorPolicy(
-        max_respawns=max_respawns,
-        backoff_seconds=0.0,
-        max_backoff_seconds=0.0,
-        stall_timeout_seconds=5.0,
-        batch_deadline_seconds=1.0,
-    )
-
-
-class TestWatchdog:
-    def test_dispatcher_crash_fails_inflight_and_respawns(self, prepared_store):
+class TestSlowGather:
+    def test_stalled_gather_fails_no_request_and_the_engine_stays_ready(self, prepared_store):
+        """One gather stalls for 1.5 s while more requests arrive, some for the
+        stalled row: every one is answered with data once the gather returns.
+        A slow gather is bounded by deadlines and ``close``, never by failing
+        work that would have been answered."""
         store = prepared_store.store
-        config = ServingConfig(
-            watchdog_interval_seconds=0.02,
-            supervisor=eager_policy(),
-        )
-        plan = FaultPlan(specs=[FaultSpec(site="serve.dispatch", kind="error", at_hit=1)])
-        with ServingEngine(store, config) as eng:
-            with plan.active():
-                doomed = eng.submit(1)
-                with pytest.raises(DispatcherFailed):
-                    doomed.result(timeout=10)
-            snap = eng.snapshot()
-            assert snap["dispatcher_crashes"] == 1
-            assert snap["respawns"] == 1
-            # the respawned dispatcher keeps serving
-            expected = store.gather_packed(np.array([4]))[:, 0, :]
-            assert np.array_equal(eng.submit(4).result(timeout=10), expected)
-            health = eng.health()
-            assert health["ready"] and not health["degraded"]
-            assert health["watchdog"]["respawns_remaining"] == 1
-
-    def test_stalled_dispatcher_is_detected_and_replaced(self, prepared_store):
-        store = prepared_store.store
-        config = ServingConfig(
-            watchdog_interval_seconds=0.02,
-            supervisor=SupervisorPolicy(
-                max_respawns=2,
-                backoff_seconds=0.0,
-                max_backoff_seconds=0.0,
-                stall_timeout_seconds=0.15,
-                batch_deadline_seconds=0.05,
-            ),
-        )
         plan = FaultPlan(
-            specs=[FaultSpec(site="serve.dispatch", kind="stall", at_hit=1, stall_seconds=1.0)]
+            specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=1.5)]
         )
-        with ServingEngine(store, config) as eng:
-            with plan.active():
-                doomed = eng.submit(1)
-                with pytest.raises(DispatcherFailed):
-                    doomed.result(timeout=10)
-            assert eng.snapshot()["dispatcher_stalls"] == 1
-            assert eng.snapshot()["respawns"] == 1
-            expected = store.gather_packed(np.array([2]))[:, 0, :]
-            assert np.array_equal(eng.submit(2).result(timeout=10), expected)
+        with ServingEngine(store, ServingConfig()) as eng, plan.active():
+            submitted = [(1, eng.submit(1))]
+            wait_until(lambda: plan.fired, "the dispatcher's gather stalls")
+            for row in (2, 1, 3, 4):
+                submitted.append((row, eng.submit(row)))
+                assert eng.health()["ready"]
+            assert 1 in eng._inflight, "the requests were not submitted during the stall"
 
-    def test_spent_budget_degrades_to_inline_gathers(self, prepared_store):
-        store = prepared_store.store
-        config = ServingConfig(
-            watchdog_interval_seconds=0.02,
-            supervisor=eager_policy(max_respawns=0),
-        )
-        plan = FaultPlan(specs=[FaultSpec(site="serve.dispatch", kind="error", at_hit=1)])
-        with ServingEngine(store, config) as eng:
-            with plan.active():
-                doomed = eng.submit(1)
-                with pytest.raises(DispatcherFailed):
-                    doomed.result(timeout=10)
-            # budget of zero: first crash degrades instead of respawning
-            deadline = time.monotonic() + 10
-            while not eng.health()["degraded"] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            health = eng.health()
-            assert health["degraded"] and health["live"] and health["ready"]
-            assert eng.snapshot()["respawns"] == 0
-            # degraded mode answers synchronously, bit-identically
-            expected = store.gather_packed(np.array([6]))[:, 0, :]
-            assert np.array_equal(eng.submit(6).result(timeout=10), expected)
-            assert eng.snapshot()["inline_gathers"] >= 1
+            def answered():
+                assert eng.health()["ready"]
+                return all(future.done() for _, future in submitted)
 
-    def test_degradation_drains_stranded_pending_inline(self, prepared_store):
-        store = prepared_store.store
-        config = ServingConfig(
-            watchdog_interval_seconds=0.02,
-            supervisor=SupervisorPolicy(
-                max_respawns=0,
-                backoff_seconds=0.0,
-                max_backoff_seconds=0.0,
-                stall_timeout_seconds=0.15,
-                batch_deadline_seconds=0.05,
-            ),
-        )
-        plan = FaultPlan(
-            specs=[FaultSpec(site="serve.dispatch", kind="stall", at_hit=1, stall_seconds=1.0)]
-        )
-        with ServingEngine(store, config) as eng:
-            with plan.active():
-                doomed = eng.submit(1)  # claimed, then the dispatcher stalls on it
-                time.sleep(0.05)
-                stranded = [eng.submit(row) for row in (2, 3)]  # left pending
-                with pytest.raises(DispatcherFailed):
-                    doomed.result(timeout=10)
-                # stranded entries are answered inline at degradation, with data
-                for row, future in zip((2, 3), stranded):
-                    expected = store.gather_packed(np.array([row]))[:, 0, :]
-                    assert np.array_equal(future.result(timeout=10), expected)
-            assert eng.health()["degraded"]
+            wait_until(answered, "every request is answered", timeout=30)
+            for row, future in submitted:
+                expected = store.gather_packed(np.array([row]))[:, 0, :]
+                assert np.array_equal(future.result(timeout=0), expected)
+            assert eng.snapshot()["gather_errors"] == 0
+            assert eng.health()["ready"]
 
 
 # =========================================================================== #
@@ -716,7 +644,7 @@ class TestWatchdog:
 class TestDrainAndClose:
     def test_drain_flushes_pending_bit_identically(self, prepared_store):
         store = prepared_store.store
-        with ServingEngine(store, quiet_config()) as eng:
+        with ServingEngine(store, ServingConfig()) as eng:
             with held_dispatcher(eng):
                 futures = {row: eng.submit(row) for row in range(8)}
                 closer = close_in_background(eng, drain=True, timeout=30)
@@ -726,7 +654,7 @@ class TestDrainAndClose:
                 assert np.array_equal(future.result(timeout=0), expected)
 
     def test_close_without_drain_fails_pending_typed(self, prepared_store):
-        with ServingEngine(prepared_store.store, quiet_config()) as eng:
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng:
             with held_dispatcher(eng) as plugged:
                 future = eng.submit(1)
                 closer = close_in_background(eng, drain=False)
@@ -739,24 +667,24 @@ class TestDrainAndClose:
     def test_close_without_drain_fails_claimed_inflight_batch(self, prepared_store):
         # the batch is already claimed (mid-gather) when close lands: its
         # futures must still resolve typed, not hang unresolved forever
-        config = ServingConfig(watchdog=False)
         plan = FaultPlan(
             specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=1, stall_seconds=0.5)]
         )
         with plan.active():
-            eng = ServingEngine(prepared_store.store, config)
+            eng = ServingEngine(prepared_store.store, ServingConfig())
             future = eng.submit(1)
-            time.sleep(0.05)  # let the dispatcher claim it and stall in the gather
+            wait_until(lambda: 1 in eng._inflight, "the dispatcher claims row 1")
             eng.close(drain=False)
         assert future.done()
         with pytest.raises(RuntimeError, match="closed before dispatch"):
             future.result(timeout=0)
 
     def test_drain_deadline_fails_stragglers_typed(self, prepared_store):
+        # gather 1 is the plug's; gather 2 is the drain batch's
         plan = FaultPlan(
-            specs=[FaultSpec(site="serve.drain", kind="stall", at_hit=1, stall_seconds=1.0)]
+            specs=[FaultSpec(site="serve.gather", kind="stall", at_hit=2, stall_seconds=1.0)]
         )
-        with ServingEngine(prepared_store.store, quiet_config()) as eng, plan.active():
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng, plan.active():
             start = time.monotonic()
             with held_dispatcher(eng):
                 future = eng.submit(1)  # still pending at close: claimed as a drain batch
@@ -774,13 +702,9 @@ class TestDrainAndClose:
         eng.close()  # idempotent
 
     def test_dispatcher_killed_mid_drain_still_resolves_every_future(self, prepared_store):
-        config = quiet_config(
-            watchdog=True,
-            watchdog_interval_seconds=0.02,
-            supervisor=eager_policy(),
-        )
-        plan = FaultPlan(specs=[FaultSpec(site="serve.drain", kind="error", at_hit=1)])
-        with ServingEngine(prepared_store.store, config) as eng, plan.active():
+        # gather 1 is the plug's; gather 2 is the drain batch's
+        plan = FaultPlan(specs=[FaultSpec(site="serve.gather", kind="error", at_hit=2)])
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng, plan.active():
             with held_dispatcher(eng):
                 futures = [eng.submit(row) for row in range(4)]
                 closer = close_in_background(eng, drain=True, timeout=30)
@@ -799,14 +723,12 @@ class TestHealth:
     def test_fresh_engine_is_ready_and_live(self, engine):
         health = engine.health()
         assert health["ready"] and health["live"]
-        assert not health["degraded"] and not health["draining"] and not health["closed"]
+        assert not health["draining"] and not health["closed"]
         assert health["queue_depth"] == 0 and health["inflight"] == 0
-        assert health["watchdog"]["enabled"] and health["watchdog"]["dispatcher_alive"]
-        assert health["watchdog"]["respawns"] == 0
         assert health["shed_rate"] == 0.0
 
     def test_saturation_is_visible(self, prepared_store):
-        config = quiet_config(max_pending=2)
+        config = ServingConfig(max_pending=2)
         with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
             eng.submit(0)
             eng.submit(1)
@@ -826,14 +748,14 @@ class TestHealth:
 # =========================================================================== #
 class TestQueryCleanup:
     def test_timeout_abandons_remaining_futures(self, prepared_store):
-        with ServingEngine(prepared_store.store, quiet_config()) as eng, held_dispatcher(eng):
+        with ServingEngine(prepared_store.store, ServingConfig()) as eng, held_dispatcher(eng):
             with pytest.raises(TimeoutError):
                 eng.query([1, 2, 3], timeout=0.05)
             with eng._cond:
                 assert len(eng._pending) == 0  # nothing left enqueued
 
     def test_shed_mid_query_abandons_admitted_futures(self, prepared_store):
-        config = quiet_config(max_pending=2, shed_policy="reject")
+        config = ServingConfig(max_pending=2, shed_policy="reject")
         with ServingEngine(prepared_store.store, config) as eng, held_dispatcher(eng):
             with pytest.raises(OverloadError):
                 eng.query([0, 1, 2])  # third submit sheds; first two must not leak
@@ -847,7 +769,7 @@ class TestQueryCleanup:
 class TestOverloadEndToEnd:
     def test_overload_with_faults_loses_no_request(self, prepared_store):
         """Saturated admission, then concurrent offered load over a small
-        admission bound with one transient gather fault and one dispatcher kill:
+        admission bound with two transient gather faults, one on the first dispatch:
         every submission must be shed or resolve to data or a typed serving
         error, accepted data must be bit-identical to direct gathers, and the
         engine must still be serving afterwards."""
@@ -857,15 +779,13 @@ class TestOverloadEndToEnd:
             shed_policy="reject",
             gather_retries=2,
             gather_backoff_seconds=0.001,
-            watchdog_interval_seconds=0.02,
-            supervisor=eager_policy(max_respawns=3),
         )
-        # kill the FIRST dispatch: heavy coalescing can drain the whole
+        # fault the FIRST dispatch: heavy coalescing can drain the whole
         # workload in very few cycles, so any later at_hit may never fire
         plan = FaultPlan(
             specs=[
                 FaultSpec(site="serve.gather", kind="error", at_hit=3),
-                FaultSpec(site="serve.dispatch", kind="error", at_hit=1),
+                FaultSpec(site="serve.gather", kind="error", at_hit=1),
             ]
         )
         num_threads, per_thread = 4, 200
@@ -885,7 +805,7 @@ class TestOverloadEndToEnd:
                 if sent % 16 == 0 and local:
                     # stay in step with the dispatcher: the clients can submit
                     # everything before it first runs, and the batch that is
-                    # killed would then be the whole workload
+                    # faulted would then be the whole workload
                     futures_wait([local[-1][1]], timeout=30)
             with lock:
                 outcomes["shed"] += shed
@@ -902,7 +822,7 @@ class TestOverloadEndToEnd:
                     except OverloadError:
                         outcomes["shed"] += 1
                 assert outcomes["shed"] == saturating - config.max_pending
-            # settled before the plan is armed, so its kill hits the clients' load
+            # settled before the plan is armed, so its faults hit the clients' load
             futures_wait([future for _, future in collected], timeout=30)
             with plan.active():
                 threads = [
@@ -927,7 +847,7 @@ class TestOverloadEndToEnd:
                 assert total == saturating + num_threads * per_thread
                 assert outcomes["data"] > 0
                 snap = eng.snapshot()
-                assert snap["respawns"] >= 1  # the dispatcher kill was recovered
+                assert snap["retried"] == 2  # both faulted gathers were retried
                 assert snap["shed"] == outcomes["shed"]
                 # and the engine keeps serving after the chaos
                 expected = store.gather_packed(np.array([0]))[:, 0, :]

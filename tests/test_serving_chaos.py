@@ -1,19 +1,18 @@
 """Randomized fault chaos over the serving tier (the `serving-chaos` CI job).
 
 Each case draws a reproducible :meth:`FaultPlan.randomized` plan over the
-serving fault sites and runs a concurrent workload through a fully-armed
-engine (admission control, deadlines, retries, watchdog).  Whatever the plan
-does — transient gather errors, a stalled gather, a killed or stalled
-dispatcher, a sabotaged drain — the invariants are always the same:
+serving fault site — the store gather — and runs a concurrent workload
+through a fully-armed engine (admission control, deadlines, retries).
+Whatever the plan does — transient gather errors or I/O errors, a stalled
+gather — the invariants are always the same:
 
 * no hang: every wait in the test is bounded;
 * no silent loss: every submitted future resolves to data or a typed error;
 * no corruption: every block returned is bit-identical to the direct gather;
-* the engine (possibly degraded to inline gathers) still answers afterwards.
+* the engine still answers afterwards, on its first try.
 
 ``kind="kill"`` is deliberately excluded: on the serving path a fault fires
-in a *thread* of this process, so a SIGKILL would take down the test runner
-— thread death is what ``kind="error"`` at ``serve.dispatch`` models.
+in a *thread* of this process, so a SIGKILL would take down the test runner.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ import numpy as np
 import pytest
 
 from repro.resilience.faultinject import FaultPlan, InjectedFault
-from repro.resilience.supervisor import SupervisorPolicy
 from repro.serving import OverloadError, ServingConfig, ServingEngine, ServingError
 
 SEEDS = [0, 1, 2]
 
-CHAOS_SITES = ("serve.gather", "serve.dispatch", "serve.drain")
+CHAOS_SITES = ("serve.gather",)
 CHAOS_KINDS = ("error", "stall", "ioerror", "leak")
 
 
@@ -41,14 +39,6 @@ def chaos_config() -> ServingConfig:
         shed_policy="reject",
         gather_retries=2,
         gather_backoff_seconds=0.001,
-        watchdog_interval_seconds=0.02,
-        supervisor=SupervisorPolicy(
-            max_respawns=3,
-            backoff_seconds=0.01,
-            max_backoff_seconds=0.1,
-            stall_timeout_seconds=0.3,
-            batch_deadline_seconds=0.1,
-        ),
         drain_timeout_seconds=10.0,
     )
 
@@ -110,14 +100,8 @@ def test_randomized_faults_lose_no_request(prepared_store, seed):
             assert answered + failed + sum(shed) == num_threads * per_thread
             assert answered > 0, f"seed {seed}: nothing was ever answered"
             assert plan.fired, f"seed {seed}: no fault of {plan.specs} ever fired"
-        # chaos over: the engine — respawned or degraded — must still answer.
-        # one DispatcherFailed is tolerated while a fault armed mid-plan settles.
-        for attempt in range(3):
-            try:
-                probe = eng.submit(0).result(timeout=30)
-                break
-            except ServingError:
-                assert attempt < 2, f"seed {seed}: engine never recovered"
+        # chaos over: nothing degrades the engine, so it answers the first probe
+        probe = eng.submit(0).result(timeout=30)
         assert np.array_equal(probe, store.gather_packed(np.array([0]))[:, 0, :])
 
 
@@ -128,7 +112,7 @@ def test_randomized_faults_during_drain_close_is_bounded(prepared_store, seed):
     store = prepared_store.store
     plan = FaultPlan.randomized(
         seed,
-        sites=("serve.drain", "serve.dispatch", "serve.gather"),
+        sites=CHAOS_SITES,
         kinds=("error", "stall"),
         num_faults=2,
         max_hit=2,
