@@ -224,9 +224,10 @@ class PPGNNLoader:
         """Release loader resources.
 
         A no-op for the in-process strategies (they hold only NumPy views),
-        but part of the loader contract so every pipeline stage — loader,
-        multi-process wrapper, prefetcher, trainer, serving engine — shares
-        one ``close()``/context-manager lifecycle.
+        but part of the loader contract shared with the multi-process
+        wrapper, whose ``close()`` stops its workers and unlinks its
+        segments.  :class:`~repro.dataloading.prefetch.PrefetchLoader` has no
+        ``close()``: its producer thread ends with each epoch.
         """
 
     def __enter__(self) -> "PPGNNLoader":

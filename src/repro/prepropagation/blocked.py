@@ -21,10 +21,10 @@ this engine; the modes differ only in block size.
   store block** (``(M, rows, F)``, the ``packed.npy`` of
   :class:`~repro.prepropagation.store.FeatureStore`), so the output is born
   in the zero-copy layout the loaders gather from — no re-packing copy;
-* blocks optionally **fan out across a process pool** (the same
-  fork-preferring, queue-driven worker shape as
-  :mod:`repro.dataloading.workers`): workers write disjoint row ranges of the
-  shared memmapped scratch and store file, so no locking is needed and no
+* blocks optionally **fan out across a process pool** (a
+  :class:`~repro.resilience.supervisor.WorkerRunner`, fail-fast: a worker
+  that dies or raises fails the build): workers write disjoint row ranges of
+  the shared memmapped scratch and store file, so no locking is needed and no
   hop/feature matrix is ever pickled (under the spawn start method the
   features are staged through a scratch memmap; only the sparse operators
   still ride the pickle path there — fork, the Linux default, shares both
@@ -39,10 +39,11 @@ whole; the pid-named staging and ``ppgnn-propagate-<pid>-*`` scratch of a
 killed run are removed by the next one (:mod:`repro.resilience.durable`).
 
 Synchronization in the parallel path is phase-barriered: hop ``r`` of kernel
-``k`` is dispatched to every worker and the parent waits for all completions
-before dispatching hop ``r + 1`` (which reads the scratch rows hop ``r``
-wrote).  Workers and parent map the same files ``MAP_SHARED``, so the queue
-hand-off establishes the required happens-before.
+``k`` is dispatched to every worker and the parent waits for each worker's
+completion, on that worker's own result queue, before dispatching hop
+``r + 1`` (which reads the scratch rows hop ``r`` wrote).  Workers and parent
+map the same files ``MAP_SHARED``, so the queue hand-off establishes the
+required happens-before.
 
 Checkpoint/resume
 -----------------
@@ -64,12 +65,8 @@ staging state and starts fresh.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue
 import shutil
-import signal
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -96,20 +93,13 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.durable import fresh_scratch, fresh_staging
 from repro.resilience.faultinject import FaultPlan, fault_point
+from repro.resilience.supervisor import Worker, WorkerRunner, default_start_method
 from repro.utils.logging import get_logger
-from repro.utils.mp import default_start_method, stop_pool
 from repro.utils.timer import Timer
 
 logger = get_logger("prepropagation.blocked")
 
 __all__ = ["open_store_arrays", "propagate_blocked"]
-
-#: how often blocked queue operations re-check the shutdown flag (seconds)
-_POLL_SECONDS = 0.05
-
-# result-queue message tags
-_DONE = 0
-_ERROR = 1
 
 # --------------------------------------------------------------------------- #
 # picklable recipes for re-opening shared arrays inside worker processes
@@ -262,8 +252,8 @@ def _run_phase(
 
 
 # --------------------------------------------------------------------------- #
-def _worker_main(
-    worker_id: int,
+def _propagate_blocks(
+    worker: Worker,
     num_workers: int,
     operators,
     features: np.ndarray,
@@ -273,119 +263,42 @@ def _worker_main(
     sink_spec: _ArraySpec,
     scratch_specs: Dict[str, Optional[_ArraySpec]],
     fault_plan: Optional[FaultPlan],
-    task_queue,
-    result_queue,
-    stop_event,
 ) -> None:
-    """Worker body: attach the shared files, run assigned phases to a barrier."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # shutdown is the parent's call
-    try:
-        if isinstance(features, _ArraySpec):
-            # spawn start method: the parent staged the features in a scratch
-            # memmap rather than pickling an (N, F) array into every worker
-            features = _open_array(features)
-        sink_mats = list(_open_array(sink_spec))
-        sources = {
-            tag: (features if spec is None else _open_array(spec))
-            for tag, spec in scratch_specs.items()
-        }
-        my_blocks = blocks[worker_id::num_workers]
-        while not stop_event.is_set():
-            try:
-                task = task_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                continue
-            if task is None:
-                break
-            kernel, hop = task
-            spmm_seconds, write_seconds = _run_phase(
-                kernel,
-                hop,
-                num_hops,
-                operators[kernel],
-                features,
-                node_ids,
-                my_blocks,
-                sink_mats,
-                sources,
-                fault_plan=fault_plan,
+    """Worker body: attach the shared files, run each dispatched phase over its blocks."""
+    if isinstance(features, _ArraySpec):
+        # spawn start method: the parent staged the features in a scratch
+        # memmap rather than pickling an (N, F) array into every worker
+        features = _open_array(features)
+    sink_mats = list(_open_array(sink_spec))
+    sources = {
+        tag: (features if spec is None else _open_array(spec))
+        for tag, spec in scratch_specs.items()
+    }
+    my_blocks = blocks[worker.worker_id::num_workers]
+    for kernel, hop in worker.tasks():
+        worker.send(
+            _run_phase(
+                kernel, hop, num_hops, operators[kernel], features, node_ids,
+                my_blocks, sink_mats, sources, fault_plan=fault_plan,
             )
-            result_queue.put((_DONE, worker_id, kernel, hop, spmm_seconds, write_seconds))
-    except BaseException:
-        try:
-            result_queue.put((_ERROR, worker_id, traceback.format_exc()))
-        except Exception:
-            pass
-
-
-class _WorkerPool:
-    """Phase-barriered block-propagation pool (fork-preferring, like PR-2)."""
-
-    def __init__(
-        self,
-        num_workers: int,
-        worker_args: tuple,
-        start_method: str,
-        timeout_seconds: float,
-    ) -> None:
-        ctx = mp.get_context(start_method)
-        self.num_workers = num_workers
-        self.timeout_seconds = timeout_seconds
-        self._stop = ctx.Event()
-        self._result_queue = ctx.Queue()
-        self._task_queues = [ctx.Queue() for _ in range(num_workers)]
-        self._processes = [
-            ctx.Process(
-                target=_worker_main,
-                args=(worker_id, num_workers, *worker_args)
-                + (self._task_queues[worker_id], self._result_queue, self._stop),
-                name=f"ppgnn-propagate-{worker_id}",
-                daemon=True,
-            )
-            for worker_id in range(num_workers)
-        ]
-        for process in self._processes:
-            process.start()
-
-    def run_phase(self, kernel: int, hop: int) -> Tuple[float, float]:
-        """Dispatch one (kernel, hop) phase to every worker and barrier on it."""
-        for task_queue in self._task_queues:
-            task_queue.put((kernel, hop))
-        spmm_seconds = 0.0
-        write_seconds = 0.0
-        done = 0
-        deadline = time.monotonic() + self.timeout_seconds
-        while done < self.num_workers:
-            try:
-                message = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                for process in self._processes:
-                    if not process.is_alive():
-                        raise RuntimeError(
-                            f"propagation worker {process.name} died with exit code "
-                            f"{process.exitcode} mid-phase"
-                        )
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"timed out after {self.timeout_seconds}s waiting for "
-                        f"propagation phase (kernel {kernel}, hop {hop})"
-                    )
-                continue
-            if message[0] == _ERROR:
-                _, worker_id, worker_traceback = message
-                raise RuntimeError(
-                    f"propagation worker {worker_id} raised:\n{worker_traceback}"
-                )
-            _, _, _, _, phase_spmm, phase_write = message
-            spmm_seconds += phase_spmm
-            write_seconds += phase_write
-            done += 1
-        return spmm_seconds, write_seconds
-
-    def close(self) -> None:
-        stop_pool(
-            self._stop, self._task_queues, self._processes, (*self._task_queues, self._result_queue)
         )
+
+
+def _run_pool_phase(runner: WorkerRunner, kernel: int, hop: int) -> Tuple[float, float]:
+    """Dispatch one (kernel, hop) phase to every worker and barrier on it.
+
+    Fail-fast: a worker that dies or raises fails the phase, and so the build.
+    """
+    for worker_id in range(runner.num_workers):
+        runner.submit(worker_id, (kernel, hop))
+    deadline = runner.deadline()
+    spmm_seconds = 0.0
+    write_seconds = 0.0
+    for worker_id in range(runner.num_workers):
+        phase_spmm, phase_write = runner.receive(worker_id, deadline)
+        spmm_seconds += phase_spmm
+        write_seconds += phase_write
+    return spmm_seconds, write_seconds
 
 
 # --------------------------------------------------------------------------- #
@@ -593,7 +506,7 @@ def propagate_blocked(
         scratch_root = None if chained else fresh_scratch(scratch_dir)
 
     start_method = default_start_method(start_method)
-    pool: Optional[_WorkerPool] = None
+    pool: Optional[WorkerRunner] = None
     completed = False
     phases_resumed = 0
     phases_computed = 0
@@ -696,9 +609,13 @@ def propagate_blocked(
 
         # ---------------- the phase loop ----------------------------------- #
         if num_workers > 0 and len(skip_phases) < len(phases):
-            pool = _WorkerPool(
+            pool = WorkerRunner(
+                "propagate",
+                "propagation",
                 num_workers,
+                _propagate_blocks,
                 (
+                    num_workers,
                     operators,
                     worker_features,
                     node_ids,
@@ -708,8 +625,8 @@ def propagate_blocked(
                     scratch_specs,
                     fault_plan,
                 ),
-                start_method,
                 timeout_seconds,
+                start_method=start_method,
             )
         for kernel, hop in phases:
             if (kernel, hop) in skip_phases:
@@ -717,7 +634,7 @@ def propagate_blocked(
                 continue
             fault_point("blocked.phase.start", plan=fault_plan, kernel=kernel, hop=hop)
             if pool is not None:
-                phase_spmm, phase_write = pool.run_phase(kernel, hop)
+                phase_spmm, phase_write = _run_pool_phase(pool, kernel, hop)
             else:
                 phase_spmm, phase_write = _run_phase(
                     kernel, hop, num_hops, operators[kernel], features, node_ids,

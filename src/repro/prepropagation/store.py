@@ -43,6 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.prepropagation.versions import BASE_VERSION, VersionedStore
 from repro.resilience.durable import fresh_staging, fsync_file, install_dir
 from repro.utils.logging import get_logger
 
@@ -138,6 +139,11 @@ def write_store(
     in already holds the flushed ``packed.npy`` (the blocked engine streams
     into it) and is the caller's to clean up on failure; otherwise a fresh
     one is made and removed if the write fails.
+
+    A build supersedes every update version published over the old store:
+    if ``root`` has a version pointer, it is repointed to ``base`` after the
+    install.  A crash between the two leaves readers and the next update on
+    the old version, whose bytes are whole.
     """
     root = Path(root)
     owned = staging is None
@@ -157,6 +163,9 @@ def write_store(
         if owned:
             shutil.rmtree(staging, ignore_errors=True)
         raise
+    versions = VersionedStore(root)
+    if versions.current_path.exists():
+        versions.set_current(BASE_VERSION)
     logger.info("persisted packed store to %s", root)
 
 

@@ -7,6 +7,10 @@ each update stages a full store copy, patches it, and publishes it as
 Readers resolve ``CURRENT`` once at open and keep reading their pinned
 version's files for as long as they hold them open — published version
 directories are immutable, so a reader can never observe a torn row.
+Preprocessing a root again installs a new ``base`` and repoints ``CURRENT``
+to it (:func:`~repro.prepropagation.store.write_store`): the versions
+patched from the old build stay listed until pruned, but are no longer
+current.
 
 Layout::
 

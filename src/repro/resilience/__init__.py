@@ -2,10 +2,12 @@
 
 Pre-propagation dominates end-to-end cost for PP-GNNs (Table 7): on large
 graphs a single blocked run is hours of SpMM, and the training epoch behind
-it leans on a pool of loader worker processes.  At production scale neither
-layer may fail-fast: an OOM-kill, preemption, or disk hiccup must cost a
-phase, not the run.  This package holds the pieces the data-path layers wire
-through:
+it leans on a pool of loader worker processes.  An OOM-kill, preemption, or
+disk hiccup must cost work, not correctness.  A build fails fast on a dead
+or raising block worker, leaves the previous store whole, and a resumable
+build (``resume=True``) reruns only its unfinished phases; the loader may
+fail fast or, under a :class:`SupervisorPolicy`, heal.  This package holds
+the pieces the data-path layers wire through:
 
 * :mod:`~repro.resilience.checkpoint` — crash-safe run manifests and the
   fsync'd append-only phase journal behind
@@ -16,7 +18,9 @@ through:
 * :mod:`~repro.resilience.durable` — the one atomic writer (write-temp,
   fsync, replace, fsync the directory) and the file/directory fsyncs every
   store and update publish goes through.
-* :mod:`~repro.resilience.supervisor` — :class:`SupervisorPolicy` and the
+* :mod:`~repro.resilience.supervisor` — the one worker-process runner both
+  pools run on (spawn, per-worker queues, heartbeats, diagnosis of a dead or
+  raising worker, deadlines, teardown), and the :class:`SupervisorPolicy` and
   counters behind the self-healing :class:`~repro.dataloading.workers.
   MultiProcessLoader`: heartbeat/deadline detection of crashed *and* stalled
   workers, bounded exponential-backoff respawn, and graceful degradation to

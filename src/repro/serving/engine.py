@@ -142,7 +142,7 @@ class ServingEngine:
         Optional PP-GNN model enabling :meth:`predict`.
     store_version:
         Name of the store version being served (``"base"`` or ``"vNNNN"``
-        from a :class:`~repro.updates.versions.VersionedStore`).  Purely
+        from a :class:`~repro.prepropagation.versions.VersionedStore`).  Purely
         informational until :meth:`adopt_store` swaps a newer version in.
     """
 

@@ -22,7 +22,7 @@ from repro.updates.errors import (
     UpdateVerificationError,
 )
 from repro.updates.frontier import affected_frontier
-from repro.updates.versions import BASE_VERSION, VersionedStore
+from repro.prepropagation.versions import BASE_VERSION, VersionedStore
 
 __all__ = [
     "BASE_VERSION",

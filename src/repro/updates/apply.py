@@ -25,7 +25,7 @@ The update algorithm, end to end:
    :class:`~repro.updates.errors.UpdateVerificationError` — corrupt bytes are
    never published.
 6. **Publish** — install the staged store as ``vNNNN`` and atomically
-   repoint ``CURRENT`` (:class:`~repro.updates.versions.VersionedStore`).
+   repoint ``CURRENT`` (:class:`~repro.prepropagation.versions.VersionedStore`).
    Readers pinned to the old version keep their bytes; new readers resolve
    the new one.
 """
@@ -58,7 +58,7 @@ from repro.resilience.faultinject import FaultPlan, fault_point
 from repro.updates.delta import GraphDelta, apply_delta, apply_features
 from repro.updates.errors import UpdateError, UpdateVerificationError
 from repro.updates.frontier import affected_frontier
-from repro.updates.versions import VersionedStore
+from repro.prepropagation.versions import VersionedStore
 from repro.utils.logging import get_logger
 
 logger = get_logger("updates.apply")

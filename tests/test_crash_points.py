@@ -13,8 +13,8 @@ runs and no buffered write lands.  After each crash:
   ``CURRENT`` names — gets the old bytes, the new bytes or a typed error,
   never other bytes;
 * the recovery a user would run — the same call again: rerun the build
-  (``resume=True`` for the resumable one), retry ``apply_update``, rerun
-  ``prune`` — leaves the store byte-identical to a
+  (``resume=True`` for the resumable one, and over a root that holds an
+  update version), retry ``apply_update``, rerun ``prune`` — leaves the store byte-identical to a
   from-scratch propagation and the directory tree exactly as an
   uninterrupted run leaves it: no ``.staging*``, ``.old-*``, temp or
   ``ppgnn-propagate-*`` scratch entry survives.
@@ -190,6 +190,11 @@ def _chain(length: int = 3):
 CHAIN_GRAPHS, CHAIN_DELTAS = _chain()
 
 
+def _one_version(work: Path) -> None:
+    _build(work, GRAPH)
+    _update(work)
+
+
 def _three_versions(work: Path) -> None:
     _build(work, GRAPH)
     for graph, delta in zip(CHAIN_GRAPHS, CHAIN_DELTAS):
@@ -241,6 +246,14 @@ SCENARIOS = [
         read=_read_current,
         old_graph=GRAPH,
         new_graph=NEW_GRAPH,
+    ),
+    Scenario(
+        "rebuild_over_versions",
+        setup=_one_version,
+        run=lambda work: _build(work, CHAIN_GRAPHS[2]),
+        read=_read_current,
+        old_graph=NEW_GRAPH,
+        new_graph=CHAIN_GRAPHS[2],
     ),
     Scenario(
         "prune",

@@ -24,8 +24,7 @@ from repro.prepropagation.store import write_store
 from repro.resilience.checkpoint import PhaseJournal, RunManifest
 from repro.resilience.durable import fresh_staging
 from repro.resilience.faultinject import FaultPlan, FaultSpec, InjectedFault
-from repro.updates import apply_update
-from repro.updates.versions import VersionedStore
+from repro.updates import VersionedStore, apply_update
 
 from test_updates import scenario_delta, scenario_graph
 

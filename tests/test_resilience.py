@@ -7,6 +7,8 @@ Three layers, one contract — *a fault costs work, never correctness*:
   store **byte-identical** to an uninterrupted run, recomputing only the
   unfinished phases; torn store/scratch bytes are detected by digest and
   recomputed; a changed graph/config fingerprint invalidates stale staging.
+  A block worker that dies or raises fails the build by name and leaves the
+  previous store whole.
 * **Self-healing loading** — a SIGKILLed or stalled loader worker is
   respawned (bounded, backed-off) and the epoch's batches stay bit-identical
   in content and order; with the respawn budget spent the loader degrades to
@@ -25,6 +27,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import time
@@ -40,6 +43,7 @@ from repro.models.registry import build_pp_model
 from repro.prepropagation.blocked import propagate_blocked
 from repro.prepropagation.pipeline import PreprocessingPipeline
 from repro.prepropagation.propagator import PropagationConfig
+from repro.prepropagation.store import FeatureStore
 from repro.resilience import faultinject
 from repro.resilience.checkpoint import (
     PhaseJournal,
@@ -507,6 +511,59 @@ class TestBlockedResume:
             PreprocessingPipeline(
                 PropagationConfig(), root=tmp_path / "s", mode="in_core", resume=True
             )
+
+
+# =========================================================================== #
+# failures in the blocked-propagation worker pool
+# =========================================================================== #
+class TestBlockPoolFailures:
+    """The block pool is fail-fast: a worker that dies or raises fails the
+    build with its name and exit code or traceback, and leaves the previous
+    store whole with no staging, scratch, segment or worker process behind."""
+
+    @pytest.mark.parametrize(
+        "kind, diagnosis",
+        [("kill", "died with exit code -9 during propagation"), ("error", "raised during propagation")],
+    )
+    def test_failed_block_worker_fails_the_build_and_keeps_the_old_store(
+        self, sparse_label_dataset, tmp_path, kind, diagnosis
+    ):
+        root = tmp_path / "store"
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        PreprocessingPipeline(
+            PropagationConfig(num_hops=1), root=root, mode="blocked", block_size=512
+        ).run(sparse_label_dataset)
+        previous = {path.name: path.read_bytes() for path in root.iterdir()}
+        # blocks are dealt round-robin, so block 512 is worker 1's first block
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(
+                    site="blocked.scratch.write",
+                    kind=kind,
+                    match={"kernel": 0, "hop": 1, "block_start": 512},
+                )
+            ]
+        )
+        pipeline = PreprocessingPipeline(
+            PropagationConfig(num_hops=2),
+            root=root,
+            mode="blocked",
+            block_size=512,
+            num_workers=2,
+            scratch_dir=scratch,
+        )
+        with plan.active(), pytest.raises(RuntimeError) as excinfo:
+            pipeline.run(sparse_label_dataset)
+        message = str(excinfo.value)
+        assert message.startswith(f"worker ppgnn-propagate-1 {diagnosis}")
+        if kind == "error":
+            assert "InjectedFault: injected fault at blocked.scratch.write" in message
+        FeatureStore.load(root)
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == previous
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scratch", "store"]
+        assert list(scratch.iterdir()) == []
+        assert [p.name for p in multiprocessing.active_children() if p.name.startswith("ppgnn-")] == []
 
 
 # =========================================================================== #

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.builders import from_edge_index, symmetrize
@@ -362,6 +361,33 @@ class TestApplyUpdate:
         base = FeatureStore.load(tmp_path / "store")
         original = from_scratch(graph, features, config, node_ids)
         assert np.asarray(base.packed_matrix()).tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("rebuild_hops", [2, 3], ids=["same_hops", "more_hops"])
+    def test_rebuild_over_versions_is_what_readers_and_updates_see(self, tmp_path, rebuild_hops):
+        """Preprocessing a root that holds an update version repoints ``CURRENT``
+        to the new build, so the next update patches the rebuild, not the old
+        version's rows."""
+        root = tmp_path / "store"
+        graph = scenario_graph()
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((400, 8)).astype(np.float32)
+        node_ids = np.unique(rng.integers(0, 400, 250))
+        config = PropagationConfig(num_hops=2)
+        propagate_blocked(graph, features, config, node_ids=node_ids, root=root, block_size=100)
+        assert apply_update(root, graph, features, scenario_delta(graph, seed=20), config).version == "v0001"
+
+        rebuilt_features = rng.standard_normal((400, 8)).astype(np.float32)
+        rebuilt_config = PropagationConfig(num_hops=rebuild_hops)
+        propagate_blocked(
+            graph, rebuilt_features, rebuilt_config, node_ids=node_ids, root=root, block_size=100
+        )
+        versions = VersionedStore(root)
+        assert versions.current_version() == BASE_VERSION
+        result = apply_update(root, graph, rebuilt_features, scenario_delta(graph, seed=21), rebuilt_config)
+        assert result.status == "applied" and result.verified
+        expected = from_scratch(result.new_graph, result.new_features, rebuilt_config, node_ids)
+        assert np.asarray(result.store.packed_matrix()).tobytes() == expected.tobytes()
+        assert versions.current_version() == result.version == "v0002"
 
     def test_memory_update_bit_identical(self):
         graph = scenario_graph()

@@ -21,7 +21,6 @@ import glob
 import json
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -226,11 +225,10 @@ class TestLifecycle:
         with MultiProcessLoader(
             build_loader("fused", store, labels, 128, seed=0), num_workers=2
         ) as loader:
-            victim = loader._processes[0]
+            victim = loader._runner.processes[0]
             os.kill(victim.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while victim.is_alive() and time.monotonic() < deadline:
-                time.sleep(0.01)
+            victim.join(timeout=5)
+            assert not victim.is_alive()
             with pytest.raises(RuntimeError, match="died with exit code"):
                 list(loader.epoch())
         assert _shm_entries() - before == set()
